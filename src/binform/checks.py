@@ -150,17 +150,19 @@ def check_quadratic_pairs(seed: int, trials: int) -> CheckOutcome:
     return True, "both identities hold", "20 random quadratic pairs pass"
 
 
-def _triads_upto(tmax: int) -> List[Tuple[int, int, int]]:
-    return [(a, b, c) for a in range(tmax + 1) for b in range(tmax + 1)
-            for c in range(abs(a - b), min(a + b, tmax) + 1, 2)]
-
-
-def _arrays_upto(tmax: int) -> List[tuple]:
-    triads = _triads_upto(tmax)
-    tset = set(triads)
+def _triad_index(tmax: int) -> tuple:
+    """Twice-value triads up to tmax, as a list, a set, and the third
+    entries keyed by the first two."""
+    triads = [(a, b, c) for a in range(tmax + 1) for b in range(tmax + 1)
+              for c in range(abs(a - b), min(a + b, tmax) + 1, 2)]
     by_pair: Dict[Tuple[int, int], List[int]] = {}
     for (a, b, c) in triads:
         by_pair.setdefault((a, b), []).append(c)
+    return triads, set(triads), by_pair
+
+
+def _arrays_upto(tmax: int) -> List[tuple]:
+    triads, tset, by_pair = _triad_index(tmax)
     return [(r1, r2, (c1, c2, c3))
             for r1 in triads for r2 in triads
             for c1 in by_pair.get((r1[0], r2[0]), ())
@@ -215,11 +217,7 @@ def check_ninej_routes(seed: int, trials: int) -> CheckOutcome:
             if got != want:
                 return False, "routes agree, symmetry holds", f"symmetry broken at {tw}"
 
-    triads = _triads_upto(12)
-    tset = set(triads)
-    by_pair: Dict[Tuple[int, int], List[int]] = {}
-    for (a, b, c) in triads:
-        by_pair.setdefault((a, b), []).append(c)
+    triads, tset, by_pair = _triad_index(12)
     rng = seeding.stream(seed, "check-ninej")
     for k in range(200):
         tw = _random_array(rng, 12, triads, tset, by_pair)

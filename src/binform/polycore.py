@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Rational = Fraction
 
@@ -64,14 +64,6 @@ def _raw_mul(t1: Mapping, t2: Mapping) -> dict:
             else:
                 del out[key]
     return out
-
-
-def _raw_mul_many(factors: Iterable[Mapping]) -> dict:
-    factors = sorted(factors, key=len)
-    out: Optional[dict] = None
-    for t in factors:
-        out = dict(t) if out is None else _raw_mul(out, t)
-    return {} if out is None else out
 
 
 def _raw_omega_power(terms: Mapping, sa: int, sb: int, r: int) -> dict:
@@ -158,12 +150,6 @@ def _raw_bracket_power(nslots: int, sa: int, sb: int, r: int) -> dict:
         key[sb + 1] = r - k
         out[tuple(key)] = -comb(r, k) if k & 1 else comb(r, k)
     return out
-
-
-def _raw_monomial_power(nslots: int, slot: int, e: int) -> dict:
-    key = [0] * nslots
-    key[slot] = e
-    return {tuple(key): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +261,8 @@ class MultiForm:
         """Coefficient of the monomial with the given per-pair exponents."""
         key = [0] * (2 * len(self.pairs))
         for name, (e1, e2) in exps.items():
+            if (e1, e2) == (0, 0) and self.order(name) == 0:
+                continue  # canonicalisation prunes pairs of order 0
             s = self._slot(name)
             key[s] = e1
             key[s + 1] = e2
@@ -524,6 +512,16 @@ def omega(f: MultiForm, a: str, b: str) -> MultiForm:
     return omega_power(f, a, b, 1)
 
 
+def _widened(f: MultiForm, src: str, dst: str) -> tuple:
+    """f's pairs and terms, with pair dst made active; src must be active."""
+    if src not in f.pairs:
+        raise ValueError(f"inactive pair {src!r}")
+    if dst in f.pairs:
+        return f.pairs, f.terms
+    pairs = tuple(sorted(set(f.pairs) | {dst}))
+    return pairs, _aligned(f.terms, f.pairs, pairs)
+
+
 def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
     """Apply the polarization operator (dst . d/dsrc) ell times in one pass.
 
@@ -538,15 +536,8 @@ def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
         raise ValueError("negative operator power")
     if ell == 0:
         return f
-    if src not in f.pairs:
-        raise ValueError(f"inactive pair {src!r}")
-    if dst in f.pairs:
-        terms = _raw_polarize(f.terms, f._slot(src), f._slot(dst), ell)
-        pairs = f.pairs
-    else:
-        pairs = tuple(sorted(set(f.pairs) | {dst}))
-        terms = _raw_polarize(_aligned(f.terms, f.pairs, pairs), 2 * pairs.index(src),
-                              2 * pairs.index(dst), ell)
+    pairs, terms = _widened(f, src, dst)
+    terms = _raw_polarize(terms, 2 * pairs.index(src), 2 * pairs.index(dst), ell)
     if not terms:
         return MultiForm.zero()
     orders = {name: f.orders.get(name, 0) for name in pairs}
@@ -584,15 +575,8 @@ def substitute_pair(f: MultiForm, src: str, dst: str) -> MultiForm:
     _check_pair(dst)
     if src == dst:
         return f
-    if src not in f.pairs:
-        raise ValueError(f"inactive pair {src!r}")
-    if dst in f.pairs:
-        terms = _raw_substitute(f.terms, f._slot(src), f._slot(dst))
-        pairs = f.pairs
-    else:
-        pairs = tuple(sorted(set(f.pairs) | {dst}))
-        terms = _raw_substitute(_aligned(f.terms, f.pairs, pairs), 2 * pairs.index(src),
-                                2 * pairs.index(dst))
+    pairs, terms = _widened(f, src, dst)
+    terms = _raw_substitute(terms, 2 * pairs.index(src), 2 * pairs.index(dst))
     if not terms:
         return MultiForm.zero()
     orders = {name: f.orders.get(name, 0) for name in pairs}

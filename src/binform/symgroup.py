@@ -226,15 +226,7 @@ def _kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
 
 
 def _integerize(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
+    ints = _scale_to_int(vec)
     first = next((v for v in ints if v), 0)
     if first < 0:
         ints = [-v for v in ints]
@@ -512,6 +504,7 @@ def _tensor_apply(ql: Matrix, qm: Matrix, vec: Sequence[int]) -> List[int]:
 
 
 def _scale_to_int(vec: Sequence[Fraction]) -> List[int]:
+    """The primitive integer vector on the ray of a rational or integer vector."""
     den = 1
     for v in vec:
         den = den * v.denominator // gcd(den, v.denominator)
@@ -537,12 +530,7 @@ def _eigen_intersect(apply_k, n: int, contents: Dict[int, int], d: int) -> List[
         for y in kernel:
             yi = _scale_to_int(y)
             vec = [sum(yi[j] * basis[j][i] for j in range(nb)) for i in range(n)]
-            g = 0
-            for v in vec:
-                g = gcd(g, v)
-            if g > 1:
-                vec = [v // g for v in vec]
-            newbasis.append(vec)
+            newbasis.append(_scale_to_int(vec))
         basis = newbasis
         if not basis:
             break
@@ -635,19 +623,8 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
         [[Fraction(wcols[j][i]) for j in range(dn)] for i in range(dn)])
     raw = [[sum(Fraction(ucols[j][p]) * winv[j][k] for j in range(dn))
             for k in range(dn)] for p in range(dl * dm)]
-    den = 1
-    for row in raw:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in raw]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, x)
-    first = next(x for row in ints for x in row if x)
-    if first < 0:
-        g = -g
-    M = tuple(tuple(x // g for x in row) for row in ints)
+    flat = _integerize([x for row in raw for x in row])
+    M = tuple(flat[p * dn:(p + 1) * dn] for p in range(dl * dm))
     _coupling_verify(M, lmod, mmod, nmod)
     return M
 

@@ -3,11 +3,14 @@
 For forms A, B of orders m, n write u_i for the i-th transvectant.  For
 each weight r and each lattice point (a, b) with 2(a+b+1) <= r there is a
 relation sum theta_ij (u_i, u_j)_{r-i-j} = 0 that holds identically in the
-coefficients of A and B.  This module computes the coefficient tables by
-three independent routes (a closed triple-sum formula, an operator chase,
-and via the wigner module's recoupling bridge), verifies tables on random
-or symbolic inputs, and reconstructs the higher transvectants from the
-first two.
+coefficients of A and B.  This module computes the coefficient tables,
+verifies them on random or symbolic inputs, and reconstructs the higher
+transvectants from the first two.
+
+The coefficients kappa come by three routes.  kappa is a closed triple
+sum.  kappa_oracle is the wigner module's operator 9-j chain run on the
+kappa array, times the scale K.  wigner.kappa_via_ninej goes through the
+9-j triple sum.  The three share no code, so the checks compare them.
 """
 
 from __future__ import annotations
@@ -18,47 +21,16 @@ from math import factorial
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import seeding
-from .polycore import (
-    MultiForm,
-    PAIR_NAMES,
-    _raw_bracket_power,
-    _raw_monomial_power,
-    _raw_mul,
-    _raw_omega_power,
-    _raw_polarize,
-    _raw_substitute,
-    add,
-    exact_divide,
-    mul,
-    negate,
-    scale,
-)
-from .transvectant import BinaryForm, factor_h, random_binary_form, transvect
+from .polycore import MultiForm, add, exact_divide, mul, negate, scale
+from .transvectant import BinaryForm, random_binary_form, transvect
+from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain, _sieve
 
 LatticePoint = Tuple[int, int]
 
 
-def _slot(name: str) -> int:
-    return 2 * PAIR_NAMES.index(name)
-
-
-def _check_admissible(m: int, n: int, r: int, i: int, j: int, a: int, b: int) -> None:
-    if r < 2:
-        raise ValueError("no quadratic syzygies below weight 2")
-    if r > min(m, n):
-        raise ValueError(f"inadmissible weight r={r} for orders ({m},{n})")
-    if a < 0 or b < 0 or 2 * (a + b + 1) > r:
-        raise ValueError(f"inadmissible lattice point ({a},{b}) for weight {r}")
-    if i < 0 or j < 0 or i + j > r:
-        raise ValueError(f"inadmissible index pair ({i},{j}) for weight {r}")
-
-
 def pi_set(m: int, n: int, r: int) -> List[LatticePoint]:
     """All lattice points (a, b) with 2(a+b+1) <= r, a then b ascending."""
-    if r < 2:
-        raise ValueError("no quadratic syzygies below weight 2")
-    if r > min(m, n):
-        raise ValueError(f"inadmissible weight r={r} for orders ({m},{n})")
+    _check_admissible(m, n, r, 0, 0, 0, 0)
     out = []
     for a in range(r // 2):
         for b in range(r // 2 - a):
@@ -132,55 +104,18 @@ def kappa(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
 
 
 def kappa_oracle(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
-    """Independent route for kappa: run the defining operator pipeline on
-    the highest-weight test form and read off the scalar it multiplies by.
+    """Independent route for kappa: the operator 9-j chain of the kappa
+    array, times the scale K.
 
-    The pipeline splits z into (x, y), doubles each side into (p, q) and
+    The chain splits z into (x, y), doubles each side into (p, q) and
     (u, v) with the antisymmetrizing brackets, recouples with omega powers,
     and contracts back down to a single form in z.  Equivariance forces the
     composite to act as a scalar; any non-monomial leakage is a bug.
     """
     a, b = p
     _check_admissible(m, n, r, i, j, a, b)
-    sp, sq, su, sv = _slot("p"), _slot("q"), _slot("u"), _slot("v")
-    sx, sy, sz = _slot("x"), _slot("y"), _slot("z")
-    w2 = 2 * (m + n - r)
-
-    t = _raw_monomial_power(16, sz, w2)
-    t = _raw_polarize(t, sz, sx, 2 * m - 2 * a + 2 * b - r)
-    t = _raw_polarize(t, sz, sy, 2 * n + 2 * a - 2 * b - r)
-    t = _raw_mul(t, _raw_bracket_power(16, sx, sy, r - 2 * a - 2 * b - 2))
-    t = _raw_mul(t, _raw_bracket_power(16, sp, sq, 2 * a + 1))
-    t = _raw_polarize(t, sx, sp, m - 2 * a - 1)
-    t = _raw_polarize(t, sx, sq, m - 2 * a - 1)
-    t = _raw_mul(t, _raw_bracket_power(16, su, sv, 2 * b + 1))
-    t = _raw_polarize(t, sy, su, n - 2 * b - 1)
-    t = _raw_polarize(t, sy, sv, n - 2 * b - 1)
-    t = _raw_omega_power(t, sp, su, i)
-    t = _raw_substitute(t, sp, sx)
-    t = _raw_substitute(t, su, sx)
-    t = _raw_omega_power(t, sq, sv, j)
-    t = _raw_substitute(t, sq, sy)
-    t = _raw_substitute(t, sv, sy)
-    t = _raw_omega_power(t, sx, sy, r - i - j)
-    t = _raw_substitute(t, sx, sz)
-    t = _raw_substitute(t, sy, sz)
-
-    target = [0] * 16
-    target[sz] = w2
-    target = tuple(target)
-    if not t:
-        c = 0
-    elif set(t) == {target}:
-        c = t[target]
-    else:
-        raise ValueError("operator chain inconsistent")
-    scale_k = (
-        factor_h(m, n, i) * factor_h(m, n, j)
-        * factor_h(m + n - 2 * i, m + n - 2 * j, r - i - j)
-        / (factorial(2 * m + 2 * n - 2 * r) * factorial(2 * m - 4 * a - 2) * factorial(2 * n - 4 * b - 2))
-    )
-    return c * scale_k
+    rows = _kappa_twice_rows(m, n, r, i, j, a, b)
+    return _ninej_chain(rows) * _kappa_scale(m, n, r, i, j, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +243,6 @@ class VerifyResult:
     residual: Optional[MultiForm] = None
 
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
-
 _draw_cache: Dict[tuple, tuple] = {}
 
 
@@ -322,8 +255,11 @@ def _sample_pair(m: int, n: int, seed: int, trial: int, symbolic: bool):
     if hit is not None:
         return hit
     if symbolic:
-        A = BinaryForm.from_coeffs(_PRIMES[: m + 1])
-        B = BinaryForm.from_coeffs(_PRIMES[m + 1: m + n + 2])
+        count, limit = m + n + 2, 16
+        while len(primes := _sieve(limit)) < count:
+            limit *= 2
+        A = BinaryForm.from_coeffs(primes[: m + 1])
+        B = BinaryForm.from_coeffs(primes[m + 1: count])
     else:
         rng = seeding.stream(seed, "verify-table", m, n, trial)
         A = random_binary_form(m, rng)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .polycore import (
     MultiForm,
@@ -99,8 +99,17 @@ class BinaryForm:
 
     @classmethod
     def from_json_dict(cls, data) -> "BinaryForm":
-        coeffs = [Fraction(c) for c in data["coeffs"]]
-        bf = cls.from_coeffs(coeffs, data.get("pair", "x"), data.get("convention", "monomial"))
+        if not isinstance(data, dict):
+            raise ValueError("serialized form is not a JSON object")
+        data = {"pair": "x", "convention": "monomial", **data}
+        for field, kind in (("coeffs", list), ("order", int), ("pair", str), ("convention", str)):
+            if not isinstance(data.get(field), kind):
+                raise ValueError(f"serialized form needs a field {field!r} of type {kind.__name__}")
+        try:
+            coeffs = [Fraction(c) for c in data["coeffs"]]
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("serialized form has a non-rational entry in 'coeffs'") from None
+        bf = cls.from_coeffs(coeffs, data["pair"], data["convention"])
         if bf.order != data["order"]:
             raise ValueError("order mismatch in serialized form")
         return bf

@@ -1,10 +1,15 @@
 """Exact Wigner 3-j, 6-j and 9-j symbols.
 
 Values are quadratic surds q*sqrt(s) with q rational and s squarefree.
-Each symbol is computed two independent ways: a differential-operator
-chain acting on a highest-weight test form, and (for 9-j) a closed triple
-sum.  The module also evaluates the syzygy coefficient kappa through a
-9-j symbol, giving the third route used by the syzygy module's tests.
+
+The operator route is one recoupling-tree engine on the highest-weight
+form z1^(2j): a split polarises one pair into two and multiplies by their
+bracket, a merge contracts two pairs by an omega power into a third.  The
+coupling coefficient (hence the 3-j symbol) is one split, the 6-j symbol
+two splits and two merges, the 9-j symbol three of each.  The syzygy
+module's kappa_oracle is the 9-j chain of the kappa array times K.  The
+operator chain, the 9-j triple sum and the syzygy module's kappa triple
+sum share no code; kappa_via_ninej reaches kappa through the triple sum.
 
 Square roots only ever arise from ratios of factorials, so surds are
 assembled from prime exponents via Legendre's formula; nothing ever
@@ -16,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polycore import (
     PAIR_NAMES,
     _raw_bracket_power,
-    _raw_monomial_power,
     _raw_mul,
     _raw_omega_power,
     _raw_polarize,
@@ -49,20 +53,25 @@ class HalfInt:
 
     @staticmethod
     def of(value: HalfIntLike) -> "HalfInt":
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        if isinstance(value, str):
-            value = Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator not in (1, 2):
-                raise ValueError(f"not a half-integer: {value}")
-            return HalfInt(int(value * 2))
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
+        return value if isinstance(value, HalfInt) else HalfInt(_signed_twice(value))
 
     def __str__(self) -> str:
         return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
+
+
+def _signed_twice(value: HalfIntLike) -> int:
+    """Twice a possibly negative half-integer (projections m)."""
+    if isinstance(value, HalfInt):
+        return value.twice
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, str):
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        if value.denominator not in (1, 2):
+            raise ValueError(f"not a half-integer: {value}")
+        return int(value * 2)
+    raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
 def _twice(value: HalfIntLike) -> int:
@@ -210,24 +219,70 @@ def sqrt_rational(q) -> QuadraticSurd:
 # ---------------------------------------------------------------------------
 
 
-def _triad_defects(j1: int, j2: int, j: int) -> Tuple[int, int, int]:
-    return (j1 + j2 - j, j2 + j - j1, j + j1 - j2)
+def _triad_defects(j1: int, j2: int, j: int) -> Optional[Tuple[int, int, int]]:
+    """The triangle defects of twice-values, or None if they form no triad."""
+    defects = (j1 + j2 - j, j2 + j - j1, j + j1 - j2)
+    # the defects differ by even numbers, so one parity test covers all three
+    return defects if min(defects) >= 0 and defects[0] % 2 == 0 else None
 
 
 def is_triad(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike) -> bool:
-    a, b, c = _twice(j1), _twice(j2), _twice(j)
-    return all(d >= 0 and d % 2 == 0 for d in _triad_defects(a, b, c))
+    return _triad_defects(_twice(j1), _twice(j2), _twice(j)) is not None
 
 
 def is_stretched(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike) -> bool:
-    a, b, c = _twice(j1), _twice(j2), _twice(j)
-    defects = _triad_defects(a, b, c)
-    return all(d >= 0 and d % 2 == 0 for d in defects) and 0 in defects
+    defects = _triad_defects(_twice(j1), _twice(j2), _twice(j))
+    return defects is not None and 0 in defects
 
 
 def _require_triad(j1: int, j2: int, j: int, where: str) -> None:
-    if not all(d >= 0 and d % 2 == 0 for d in _triad_defects(j1, j2, j)):
+    if _triad_defects(j1, j2, j) is None:
         raise ValueError(f"not a triad: {where} ({j1}/2, {j2}/2, {j}/2)")
+
+
+# ---------------------------------------------------------------------------
+# the recoupling-tree engine: raw dicts as in polycore, twice-values j
+# ---------------------------------------------------------------------------
+
+_WIDTH = 2 * len(PAIR_NAMES)
+
+
+def _slot(name: str) -> int:
+    return 2 * PAIR_NAMES.index(name)
+
+
+def _key(**exps: Tuple[int, int]) -> tuple:
+    """Exponent key with the given (e1, e2) per pair name, zero elsewhere."""
+    key = [0] * _WIDTH
+    for name, (e1, e2) in exps.items():
+        s = _slot(name)
+        key[s] = e1
+        key[s + 1] = e2
+    return tuple(key)
+
+
+def _split(t: dict, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
+    """Split pair src, of order j, into pairs a and b of orders ja and jb."""
+    ssrc, sa, sb = _slot(src), _slot(a), _slot(b)
+    t = _raw_polarize(t, ssrc, sa, (ja + j - jb) // 2)
+    t = _raw_polarize(t, ssrc, sb, (jb + j - ja) // 2)
+    r = (ja + jb - j) // 2
+    return _raw_mul(t, _raw_bracket_power(_WIDTH, sa, sb, r)) if r else t
+
+
+def _merge(t: dict, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
+    """Couple pairs a and b, of orders ja and jb, to order jab in pair dst."""
+    sa, sb, sdst = _slot(a), _slot(b), _slot(dst)
+    t = _raw_omega_power(t, sa, sb, (ja + jb - jab) // 2)
+    return _raw_substitute(_raw_substitute(t, sa, sdst), sb, sdst)
+
+
+def _chain_scalar(t: dict, j: int) -> int:
+    """The scalar c of a chain that must end at c*z1^j; consumes t."""
+    c = t.pop(_key(z=(j, 0)), 0)
+    if t:
+        raise ValueError("operator chain inconsistent")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +290,42 @@ def _require_triad(j1: int, j2: int, j: int, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _slot(name: str) -> int:
-    return 2 * PAIR_NAMES.index(name)
-
-
 def _check_projection(j: int, m: int) -> None:
     # m ranges over M_j: same parity as j, |m| <= j
     if abs(m) > j or (j - m) % 2:
         raise ValueError(f"projection {m}/2 out of range for j={j}/2")
+
+
+def _coupling_args(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
+                   m1: HalfIntLike, m2: HalfIntLike, m: HalfIntLike) -> Tuple[int, ...]:
+    """Twice-values (j1, j2, j, m1, m2, m), checked for admissibility."""
+    a1, a2, a = _twice(j1), _twice(j2), _twice(j)
+    b1, b2, b = _signed_twice(m1), _signed_twice(m2), _signed_twice(m)
+    _require_triad(a1, a2, a, "(j1, j2, j)")
+    _check_projection(a1, b1)
+    _check_projection(a2, b2)
+    _check_projection(a, b)
+    return a1, a2, a, b1, b2, b
+
+
+def _coupling(a1: int, a2: int, a: int, b1: int, b2: int, b: int) -> QuadraticSurd:
+    if b1 + b2 != b:
+        return QuadraticSurd.zero()
+    t = _split({_key(z=((a - b) // 2, (a + b) // 2)): 1}, "z", "x", "y", a1, a2, a)
+    key = _key(x=((a1 - b1) // 2, (a1 + b1) // 2), y=((a2 - b2) // 2, (a2 + b2) // 2))
+    cf = Fraction(t.get(key, 0), factorial(a))
+    if cf == 0:
+        return QuadraticSurd.zero()
+    # phase (-1)^((j+m)+(j1+m1)+(j2+m2)) from the three basis forms; the
+    # surd combines sqrt(binom(2j, j-m)), the two monomial norms, and the
+    # isometry constant into one factorial ratio
+    r = (a1 + a2 - a) // 2
+    sgn = -1 if ((a + b) // 2 + (a1 + b1) // 2 + (a2 + b2) // 2) % 2 else 1
+    surd = sqrt_factorial_ratio(
+        [a, a + 1, (a1 - b1) // 2, (a1 + b1) // 2, (a2 - b2) // 2, (a2 + b2) // 2],
+        [(a - b) // 2, (a + b) // 2, a1 + a2 - r + 1, r, a1 - r, a2 - r],
+    )
+    return (sgn * cf) * surd
 
 
 def coupling_coefficient(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
@@ -253,96 +336,22 @@ def coupling_coefficient(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
     (Brussaard/Condon-Shortley) positive phase: its constant is the positive
     root sqrt((2j1)!(2j2)!(2j+1)! / ((j1+j2+j+1)! and the three defects)).
     """
-    a1, a2, a = _twice(j1), _twice(j2), _twice(j)
-    b1, b2, b = _signed_twice(m1), _signed_twice(m2), _signed_twice(m)
-    _require_triad(a1, a2, a, "(j1, j2, j)")
-    _check_projection(a1, b1)
-    _check_projection(a2, b2)
-    _check_projection(a, b)
-    if b1 + b2 != b:
-        return QuadraticSurd.zero()
-
-    r = (a1 + a2 - a) // 2
-    sz, sx, sy = _slot("z"), _slot("x"), _slot("y")
-    t = {_mono_key(16, sz, (a - b) // 2, (a + b) // 2): 1}
-    t = _raw_polarize(t, sz, sx, a1 - r)
-    t = _raw_polarize(t, sz, sy, a2 - r)
-    if r:
-        t = _raw_mul(t, _raw_bracket_power(16, sx, sy, r))
-    key = _mono_key2(16, sx, (a1 - b1) // 2, (a1 + b1) // 2,
-                     sy, (a2 - b2) // 2, (a2 + b2) // 2)
-    cf = Fraction(t.get(key, 0), factorial(a))
-    if cf == 0:
-        return QuadraticSurd.zero()
-    # phase (-1)^((j+m)+(j1+m1)+(j2+m2)) from the three basis forms; the
-    # surd combines sqrt(binom(2j, j-m)), the two monomial norms, and the
-    # isometry constant into one factorial ratio
-    sgn = -1 if ((a + b) // 2 + (a1 + b1) // 2 + (a2 + b2) // 2) % 2 else 1
-    surd = sqrt_factorial_ratio(
-        [a, a + 1, (a1 - b1) // 2, (a1 + b1) // 2, (a2 - b2) // 2, (a2 + b2) // 2],
-        [(a - b) // 2, (a + b) // 2, a1 + a2 - r + 1, r, a1 - r, a2 - r],
-    )
-    return (sgn * cf) * surd
-
-
-def _signed_twice(value: HalfIntLike) -> int:
-    """Twice a possibly negative half-integer (projections m)."""
-    if isinstance(value, HalfInt):
-        return value.twice
-    if isinstance(value, int):
-        return 2 * value
-    if isinstance(value, str):
-        value = Fraction(value)
-    if isinstance(value, Fraction):
-        if value.denominator not in (1, 2):
-            raise ValueError(f"not a half-integer: {value}")
-        return int(value * 2)
-    raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-
-def _mono_key(nslots: int, slot: int, e1: int, e2: int):
-    key = [0] * nslots
-    key[slot] = e1
-    key[slot + 1] = e2
-    return tuple(key)
-
-
-def _mono_key2(nslots, s1, a1, a2, s2, b1, b2):
-    key = [0] * nslots
-    key[s1], key[s1 + 1] = a1, a2
-    key[s2], key[s2 + 1] = b1, b2
-    return tuple(key)
+    return _coupling(*_coupling_args(j1, j2, j, m1, m2, m))
 
 
 def threej(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
            m1: HalfIntLike, m2: HalfIntLike, m: HalfIntLike) -> QuadraticSurd:
     """Wigner 3-j symbol (j1 j2 j; m1 m2 m)."""
-    a1, a2, a = _twice(j1), _twice(j2), _twice(j)
-    b1, b2, b = _signed_twice(m1), _signed_twice(m2), _signed_twice(m)
-    _require_triad(a1, a2, a, "(j1, j2, j)")
-    _check_projection(a1, b1)
-    _check_projection(a2, b2)
-    _check_projection(a, b)
+    a1, a2, a, b1, b2, b = _coupling_args(j1, j2, j, m1, m2, m)
     if b1 + b2 + b != 0:
         return QuadraticSurd.zero()
-    C = coupling_coefficient(HalfInt(a1), HalfInt(a2), HalfInt(a),
-                             Fraction(b1, 2), Fraction(b2, 2), Fraction(-b, 2))
     sgn = -1 if ((a1 - a2 - b) // 2) % 2 else 1
-    return sgn * C * sqrt_rational(Fraction(1, a + 1))
+    return sgn * _coupling(a1, a2, a, b1, b2, -b) * sqrt_rational(Fraction(1, a + 1))
 
 
 # ---------------------------------------------------------------------------
 # 6-j symbols
 # ---------------------------------------------------------------------------
-
-
-def _scalar_of_chain(t: dict, sz: int, order: int) -> int:
-    target = _mono_key(16, sz, order, 0)
-    if not t:
-        return 0
-    if set(t) == {target}:
-        return t[target]
-    raise ValueError("operator chain inconsistent")
 
 
 def sixj(js: Sequence[HalfIntLike]) -> QuadraticSurd:
@@ -355,21 +364,10 @@ def sixj(js: Sequence[HalfIntLike]) -> QuadraticSurd:
     _require_triad(j12, j3, J, "(j12, j3, J)")
     _require_triad(j1, j23, J, "(j1, j23, J)")
 
-    su, sy, sv, sw, sx, sz = (_slot(c) for c in ("u", "y", "v", "w", "x", "z"))
-    t = _raw_monomial_power(16, sz, J)
-    t = _raw_polarize(t, sz, su, (j1 + J - j23) // 2)
-    t = _raw_polarize(t, sz, sy, (j23 + J - j1) // 2)
-    t = _raw_mul(t, _raw_bracket_power(16, su, sy, (j1 + j23 - J) // 2))
-    t = _raw_polarize(t, sy, sv, (j2 + j23 - j3) // 2)
-    t = _raw_polarize(t, sy, sw, (j3 + j23 - j2) // 2)
-    t = _raw_mul(t, _raw_bracket_power(16, sv, sw, (j2 + j3 - j23) // 2))
-    t = _raw_omega_power(t, su, sv, (j1 + j2 - j12) // 2)
-    t = _raw_substitute(t, su, sx)
-    t = _raw_substitute(t, sv, sx)
-    t = _raw_omega_power(t, sx, sw, (j12 + j3 - J) // 2)
-    t = _raw_substitute(t, sx, sz)
-    t = _raw_substitute(t, sw, sz)
-    alpha = _scalar_of_chain(t, sz, J)
+    t = _split({_key(z=(J, 0)): 1}, "z", "u", "y", j1, j23, J)
+    t = _split(t, "y", "v", "w", j2, j3, j23)
+    t = _merge(t, "u", "v", "x", j1, j2, j12)
+    alpha = _chain_scalar(_merge(t, "x", "w", "z", j12, j3, J), J)
 
     h = lambda *v: [x // 2 for x in v]  # noqa: E731  twice-values to integers
     p1 = h(j1 + j12 - j2, j2 + j12 - j1, j12 + J - j3, j3 + J - j12)
@@ -404,10 +402,7 @@ class NineJArray:
         return [[e.twice for e in row] for row in self.rows]
 
     def transpose(self) -> "NineJArray":
-        r = self.rows
-        return NineJArray([[r[0][0], r[1][0], r[2][0]],
-                           [r[0][1], r[1][1], r[2][1]],
-                           [r[0][2], r[1][2], r[2][2]]])
+        return NineJArray(list(zip(*self.rows)))
 
     def permute(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "NineJArray":
         r = self.rows
@@ -439,43 +434,30 @@ def _ninej_q_lists(tw: List[List[int]]) -> Tuple[List[int], List[int], List[int]
     return q1, q2, q3
 
 
+def _ninej_chain(tw: Sequence[Sequence[int]]) -> int:
+    """The scalar by which the 9-j recoupling chain multiplies z1^(2J),
+    for the array of twice-values tw."""
+    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
+    t = _split({_key(z=(J, 0)): 1}, "z", "x", "y", j13, j24, J)
+    t = _split(t, "x", "p", "q", j1, j3, j13)
+    t = _split(t, "y", "u", "v", j2, j4, j24)
+    t = _merge(t, "p", "u", "x", j1, j2, j12)
+    t = _merge(t, "q", "v", "y", j3, j4, j34)
+    return _chain_scalar(_merge(t, "x", "y", "z", j12, j34, J), J)
+
+
 def ninej_operator(arr: NineJArray) -> QuadraticSurd:
     """9-j symbol via the recoupling operator chain on z1^(2J)."""
     tw = arr.twice_rows()
-    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-
-    sp, sq, su, sv = (_slot(c) for c in ("p", "q", "u", "v"))
-    sx, sy, sz = (_slot(c) for c in ("x", "y", "z"))
-    t = _raw_monomial_power(16, sz, J)
-    t = _raw_polarize(t, sz, sx, (j13 + J - j24) // 2)
-    t = _raw_polarize(t, sz, sy, (j24 + J - j13) // 2)
-    t = _raw_mul(t, _raw_bracket_power(16, sx, sy, (j13 + j24 - J) // 2))
-    t = _raw_polarize(t, sx, sp, (j1 + j13 - j3) // 2)
-    t = _raw_polarize(t, sx, sq, (j13 + j3 - j1) // 2)
-    t = _raw_mul(t, _raw_bracket_power(16, sp, sq, (j1 + j3 - j13) // 2))
-    t = _raw_polarize(t, sy, su, (j2 + j24 - j4) // 2)
-    t = _raw_polarize(t, sy, sv, (j4 + j24 - j2) // 2)
-    t = _raw_mul(t, _raw_bracket_power(16, su, sv, (j2 + j4 - j24) // 2))
-    t = _raw_omega_power(t, sp, su, (j1 + j2 - j12) // 2)
-    t = _raw_substitute(t, sp, sx)
-    t = _raw_substitute(t, su, sx)
-    t = _raw_omega_power(t, sq, sv, (j3 + j4 - j34) // 2)
-    t = _raw_substitute(t, sq, sy)
-    t = _raw_substitute(t, sv, sy)
-    t = _raw_omega_power(t, sx, sy, (j12 + j34 - J) // 2)
-    t = _raw_substitute(t, sx, sz)
-    t = _raw_substitute(t, sy, sz)
-    beta = _scalar_of_chain(t, sz, J)
-
+    beta = _ninej_chain(tw)
     q1, q2, q3 = _ninej_q_lists(tw)
+    J = tw[2][2]
     return (Fraction((J + 1) * beta)) * sqrt_factorial_ratio(q1, q2 + q3)
 
 
-def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
-    """9-j symbol via the three-index summation formula."""
-    tw = arr.twice_rows()
+def _triple_sum_params(tw: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The shifts (x1..x5), (y1..y5), (z1..z5), (p1, p2, p3) of the triple sum."""
     (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-
     x1 = j34
     x2 = (j3 + j4 - j34) // 2
     x3 = (j12 - j34 + J) // 2
@@ -494,19 +476,39 @@ def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
     p1 = (j1 + j3 - j24 + J) // 2
     p2 = (-j2 + j3 - j34 + j24) // 2
     p3 = (-j1 + j2 - j34 + J) // 2
+    return (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3)
+
+
+def _triple_sum_lattice(params: Tuple[Tuple[int, ...], ...]):
+    """(x, y, z_lo, z_hi) for every (x, y) over which the triple sum has
+    terms, z running from z_lo to z_hi."""
+    (_, _, _, x4, x5), (_, _, _, y4, y5), (_, _, _, z4, z5), (p1, p2, p3) = params
+    for x in range(0, min(x4, x5) + 1):
+        z_lo = max(0, -p3 - x)
+        for y in range(max(0, -p2 - x), min(y4, y5) + 1):
+            z_hi = min(z4, z5, p1 - y)
+            if z_hi >= z_lo:
+                yield x, y, z_lo, z_hi
+
+
+def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
+    """9-j symbol via the three-index summation formula."""
+    tw = arr.twice_rows()
+    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
+    params = _triple_sum_params(tw)
+    (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3) = params
 
     f = factorial
     total = Fraction(0)
-    for x in range(0, min(x4, x5) + 1):
-        for y in range(max(0, -p2 - x), min(y4, y5) + 1):
-            for z in range(max(0, -p3 - x), min(z4, z5, p1 - y) + 1):
-                num = (f(x1 - x) * f(x2 + x) * f(x3 + x) * f(y1 + y) * f(y2 + y)
-                       * f(z1 - z) * f(z2 + z) * f(p1 - y - z))
-                den = (f(x) * f(y) * f(z) * f(x4 - x) * f(x5 - x) * f(y3 + y)
-                       * f(y4 - y) * f(y5 - y) * f(z3 - z) * f(z4 - z) * f(z5 - z)
-                       * f(p2 + x + y) * f(p3 + x + z))
-                term = Fraction(num, den)
-                total += -term if (x + y + z) % 2 else term
+    for x, y, z_lo, z_hi in _triple_sum_lattice(params):
+        for z in range(z_lo, z_hi + 1):
+            num = (f(x1 - x) * f(x2 + x) * f(x3 + x) * f(y1 + y) * f(y2 + y)
+                   * f(z1 - z) * f(z2 + z) * f(p1 - y - z))
+            den = (f(x) * f(y) * f(z) * f(x4 - x) * f(x5 - x) * f(y3 + y)
+                   * f(y4 - y) * f(y5 - y) * f(z3 - z) * f(z4 - z) * f(z5 - z)
+                   * f(p2 + x + y) * f(p3 + x + z))
+            term = Fraction(num, den)
+            total += -term if (x + y + z) % 2 else term
     if total == 0:
         return QuadraticSurd.zero()
 
@@ -530,25 +532,8 @@ def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
 
 def ninej_support_size(arr: NineJArray) -> int:
     """Number of lattice triples the triple sum ranges over."""
-    tw = arr.twice_rows()
-    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-    x4 = (-j3 + j4 + j34) // 2
-    x5 = (j12 + j34 - J) // 2
-    y4 = (j2 + j4 - j24) // 2
-    y5 = (j13 - j24 + J) // 2
-    z4 = (j1 + j3 - j13) // 2
-    z5 = (j1 - j2 + j12) // 2
-    p1 = (j1 + j3 - j24 + J) // 2
-    p2 = (-j2 + j3 - j34 + j24) // 2
-    p3 = (-j1 + j2 - j34 + J) // 2
-    count = 0
-    for x in range(0, min(x4, x5) + 1):
-        for y in range(max(0, -p2 - x), min(y4, y5) + 1):
-            lo = max(0, -p3 - x)
-            hi = min(z4, z5, p1 - y)
-            if hi >= lo:
-                count += hi - lo + 1
-    return count
+    params = _triple_sum_params(arr.twice_rows())
+    return sum(z_hi - z_lo + 1 for _, _, z_lo, z_hi in _triple_sum_lattice(params))
 
 
 _ROW_PERMS = [((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
@@ -583,18 +568,44 @@ def ninej_symmetry_check(arr: NineJArray, value=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_admissible(m: int, n: int, r: int, i: int, j: int, a: int, b: int) -> None:
+    if r < 2:
+        raise ValueError("no quadratic syzygies below weight 2")
+    if r > min(m, n):
+        raise ValueError(f"inadmissible weight r={r} for orders ({m},{n})")
+    if a < 0 or b < 0 or 2 * (a + b + 1) > r:
+        raise ValueError(f"inadmissible lattice point ({a},{b}) for weight {r}")
+    if i < 0 or j < 0 or i + j > r:
+        raise ValueError(f"inadmissible index pair ({i},{j}) for weight {r}")
+
+
+def _kappa_twice_rows(m: int, n: int, r: int, i: int, j: int, a: int, b: int) -> List[List[int]]:
+    """Twice the entries of the 9-j array carrying kappa_ij at (a, b)."""
+    return [
+        [m, n, m + n - 2 * i],
+        [m, n, m + n - 2 * j],
+        [2 * m - 4 * a - 2, 2 * n - 4 * b - 2, 2 * (m + n - r)],
+    ]
+
+
+def _kappa_scale(m: int, n: int, r: int, i: int, j: int, a: int, b: int) -> Fraction:
+    """K, the factor turning the 9-j chain scalar of the kappa array into kappa."""
+    return (
+        factor_h(m, n, i) * factor_h(m, n, j)
+        * factor_h(m + n - 2 * i, m + n - 2 * j, r - i - j)
+        / (factorial(2 * m + 2 * n - 2 * r)
+           * factorial(2 * m - 4 * a - 2) * factorial(2 * n - 4 * b - 2))
+    )
+
+
 def kappa_ninej_arrays(m: int, n: int, r: int, i: int, j: int,
                        p: Tuple[int, int]) -> Tuple[NineJArray, NineJArray]:
     """The 9-j array carrying kappa, and its rearrangement that feeds the
     triple sum (rows 2 and 3 swapped, columns 1 and 3 swapped, transposed;
     the net permutation leaves the value unchanged)."""
     a, b = p
-    rows = [
-        [Fraction(m, 2), Fraction(n, 2), Fraction(m + n - 2 * i, 2)],
-        [Fraction(m, 2), Fraction(n, 2), Fraction(m + n - 2 * j, 2)],
-        [m - 2 * a - 1, n - 2 * b - 1, m + n - r],
-    ]
-    base = NineJArray(rows)
+    rows = _kappa_twice_rows(m, n, r, i, j, a, b)
+    base = NineJArray([[HalfInt(v) for v in row] for row in rows])
     swapped = base.permute((0, 2, 1), (2, 1, 0)).transpose()
     return base, swapped
 
@@ -602,8 +613,6 @@ def kappa_ninej_arrays(m: int, n: int, r: int, i: int, j: int,
 def kappa_via_ninej(m: int, n: int, r: int, i: int, j: int,
                     p: Tuple[int, int]) -> Fraction:
     """Third route to the syzygy coefficient: through a 9-j symbol."""
-    from .syzygy import _check_admissible
-
     a, b = p
     _check_admissible(m, n, r, i, j, a, b)
     base, rearranged = kappa_ninej_arrays(m, n, r, i, j, p)
@@ -612,13 +621,7 @@ def kappa_via_ninej(m: int, n: int, r: int, i: int, j: int,
     q1, q2, q3 = _ninej_q_lists(base.twice_rows())
     pref = sqrt_factorial_ratio(q2 + q3, q1)
     J2 = 2 * (m + n - r)
-    K = (
-        factor_h(m, n, i) * factor_h(m, n, j)
-        * factor_h(m + n - 2 * i, m + n - 2 * j, r - i - j)
-        / (factorial(2 * m + 2 * n - 2 * r)
-           * factorial(2 * m - 4 * a - 2) * factorial(2 * n - 4 * b - 2))
-    )
-    out = (K / (J2 + 1)) * pref * value
+    out = (_kappa_scale(m, n, r, i, j, a, b) / (J2 + 1)) * pref * value
     if not out.is_rational():
         raise ValueError("normalization mismatch")
     return out.to_fraction()

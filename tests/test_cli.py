@@ -113,6 +113,12 @@ class TestTransvect:
         assert r2.returncode == 0
         assert json.loads(r2.stdout)["order"] == 4
 
+    def test_invariant_of_equal_orders(self):
+        r = _run("transvect", "--m", "2", "--n", "2", "--r", "2",
+                 "--A", "1 0 1", "--B", "1 0 1")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split(":")[1].split() == ["2"]
+
     def test_wrong_length_exit_two(self):
         r = _run("transvect", "--m", "2", "--n", "2", "--r", "1",
                  "--A", "1 0", "--B", "0 1 0")
@@ -162,6 +168,20 @@ class TestReconstruct:
         data = json.loads(r.stdout)
         assert len(data["transvectants"]) == 1
         assert data["transvectants"][0]["coeffs"] == ["1/3", "8/3"]
+
+    def test_equal_orders_reach_the_invariant(self):
+        # A = x1^2 + x2^2, B = x1^2 + 2*x2^2: u_2 = (A, B)_2 = 3 has order 0
+        u0 = {"pair": "x", "order": 4, "coeffs": ["1", "0", "3", "0", "2"]}
+        u1 = {"pair": "x", "order": 2, "coeffs": ["0", "1", "0"]}
+        r = _run("reconstruct", "--m", "2", "--n", "2",
+                 "--u0", json.dumps(u0), "--u1", json.dumps(u1))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "u_2: 3"
+
+    def test_json_missing_fields_exit_two(self):
+        r = _run("reconstruct", "--m", "3", "--n", "2", "--u0", "{}", "--u1", "{}")
+        assert r.returncode == 2
+        assert "'coeffs'" in r.stderr
 
 
 class TestWignerCommands:

@@ -92,6 +92,17 @@ def test_inactive_pair_errors():
         substitute_pair(f, "y", "x")
 
 
+def test_coefficient_at_pruned_pair():
+    # order-0 pairs are pruned, so (0, 0) in an inactive pair is the constant term
+    c = MultiForm.constant(5)
+    assert c.coefficient({"x": (0, 0)}) == 5
+    assert mono({"x": (2, 0)}).coefficient({"x": (2, 0), "y": (0, 0)}) == 1
+    with pytest.raises(ValueError, match="inactive pair"):
+        c.coefficient({"x": (1, 0)})
+    with pytest.raises(ValueError, match="unknown pair"):
+        c.coefficient({"t": (0, 0)})
+
+
 def test_degenerate_bracket():
     with pytest.raises(ValueError, match="degenerate bracket"):
         bracket("x", "x")

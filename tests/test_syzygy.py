@@ -21,6 +21,7 @@ from binform.syzygy import (
     vartheta_table,
     verify_table,
 )
+from binform.syzygy import _sample_pair
 from binform.transvectant import BinaryForm, random_binary_form, transvect
 
 GRIDS = [(5, 3, 2), (5, 3, 3), (7, 5, 4), (8, 6, 5), (6, 6, 4)]
@@ -225,6 +226,13 @@ class TestVerifyTable:
 
     def test_symbolic_mode(self):
         assert verify_table(vartheta_table(5, 3, 2, (0, 0)), 1, seed=0, symbolic=True).passed
+
+    def test_symbolic_mode_past_twenty_primes(self):
+        # m + n + 2 = 22 coefficients: both forms must keep their full orders
+        A, B, _, _ = _sample_pair(10, 10, 0, 0, True)
+        assert (A.order, B.order) == (10, 10)
+        assert B.to_coeffs()[-1] == 79
+        assert verify_table(vartheta_table(10, 10, 2, (0, 0)), 1, 0, symbolic=True).passed
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):

@@ -52,6 +52,31 @@ class TestBinaryForm:
         assert d["coeffs"] == ["1/3", "0", "-2"]
         assert BinaryForm.from_json_dict(d) == A
 
+    def test_order_zero_coeffs(self):
+        # the invariant (A, A)_2 has order 0; canonicalisation prunes its pair
+        A = BinaryForm.from_coeffs([1, 0, 1])
+        inv = transvect(A, A, 2)
+        assert inv.form.pairs == ()
+        assert inv.to_coeffs() == [2]
+        assert inv.to_json_dict()["coeffs"] == ["2"]
+
+    @pytest.mark.parametrize("data,field", [
+        ({}, "coeffs"),
+        ({"coeffs": ["1", "2"]}, "order"),
+        ({"coeffs": "1 2", "order": 1}, "coeffs"),
+        ({"coeffs": ["1", "2"], "order": "1"}, "order"),
+        ({"coeffs": ["1", "2"], "order": 1, "pair": 7}, "pair"),
+        ({"coeffs": [[1], "2"], "order": 1}, "coeffs"),
+        ({"coeffs": ["1/0", "2"], "order": 1}, "coeffs"),
+    ])
+    def test_json_missing_or_ill_typed_field(self, data, field):
+        with pytest.raises(ValueError, match=repr(field)):
+            BinaryForm.from_json_dict(data)
+
+    def test_json_not_an_object(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            BinaryForm.from_json_dict(["1", "2"])
+
 
 class TestTransvect:
     def test_pinned_value(self):
