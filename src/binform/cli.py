@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple
 from .checks import REGISTRY, SUITES
 from .symgroup import (
     check_shape,
+    hook_dimension,
     multiplicity,
     projection_matrix,
     standard_tableaux,
@@ -110,22 +111,30 @@ def _emit(payload: dict, pretty_lines: Sequence[str], fmt: str, out: Optional[st
             fh.write("\n")
 
 
-def _parse_form(text: str, order: int, convention: str) -> BinaryForm:
+def _parse_rationals(text: str, flag: str) -> list:
+    try:
+        return [Fraction(tok) for tok in text.replace(",", " ").split()]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} takes rationals such as 3 or -1/2, got {text!r}") from None
+
+
+def _parse_form(text: str, flag: str, order: int, convention: str) -> BinaryForm:
     text = text.strip()
     if text.startswith("{"):
         return BinaryForm.from_json_dict(json.loads(text))
-    coeffs = [Fraction(tok) for tok in text.replace(",", " ").split()]
+    coeffs = _parse_rationals(text, flag)
     if len(coeffs) != order + 1:
         raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
     return BinaryForm.from_coeffs(coeffs, convention=convention)
 
 
-def _parse_shape(text: str) -> tuple:
-    return check_shape(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_halves(text: str) -> list:
-    return [Fraction(tok) for tok in text.replace(",", " ").split()]
+def _parse_shape(text: Optional[str], flag: str) -> tuple:
+    if text is None:
+        raise ValueError(f"{flag} is required")
+    try:
+        return check_shape(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _frac_matrix(entries) -> list:
@@ -150,8 +159,8 @@ def _report_dict(rep) -> dict:
 
 
 def _cmd_transvect(args) -> int:
-    A = _parse_form(args.A, args.m, args.convention)
-    B = _parse_form(args.B, args.n, args.convention)
+    A = _parse_form(args.A, "--A", args.m, args.convention)
+    B = _parse_form(args.B, "--B", args.n, args.convention)
     if A.order != args.m or B.order != args.n:
         raise ValueError("order of a supplied form disagrees with --m/--n")
     result = transvect(A, B, args.r)
@@ -205,8 +214,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_ninej(args) -> int:
-    rows = [row.split() for row in args.array.split(";")]
-    arr = NineJArray(rows)
+    arr = NineJArray([_parse_rationals(row, "--array") for row in args.array.split(";")])
     values = {}
     if args.method in ("operator", "both"):
         values["operator"] = ninej_operator(arr)
@@ -224,8 +232,13 @@ def _cmd_ninej(args) -> int:
 
 
 def _cmd_threej(args) -> int:
-    j1, j2, j = _parse_halves(args.j)
-    m1, m2, m = _parse_halves(args.m)
+    js = _parse_rationals(args.j, "--j")
+    ms = _parse_rationals(args.m, "--m")
+    for flag, entries in (("--j", js), ("--m", ms)):
+        if len(entries) != 3:
+            raise ValueError(f"threej expects exactly 3 entries in {flag}, got {len(entries)}")
+    j1, j2, j = js
+    m1, m2, m = ms
     v = threej(j1, j2, j, m1, m2, m)
     _emit({"j": [str(x) for x in (j1, j2, j)],
            "m": [str(x) for x in (m1, m2, m)], "value": str(v)},
@@ -234,7 +247,7 @@ def _cmd_threej(args) -> int:
 
 
 def _cmd_sixj(args) -> int:
-    js = _parse_halves(args.js)
+    js = _parse_rationals(args.js, "--js")
     if len(js) != 6:
         raise ValueError("sixj expects exactly 6 entries")
     v = sixj(js)
@@ -243,24 +256,31 @@ def _cmd_sixj(args) -> int:
     return 0
 
 
+# `sym tableaux` lists every tableau, one recursion level per box; larger
+# shapes would hang the command or exhaust the stack
+_MAX_TABLEAU_BOXES = 100
+_MAX_TABLEAUX = 10_000
+
+
 def _cmd_sym(args) -> int:
     if args.action == "tableaux":
-        if not args.shape:
-            raise ValueError("tableaux needs --shape")
-        shape = _parse_shape(args.shape)
+        shape = _parse_shape(args.shape, "--shape")
+        if sum(shape) > _MAX_TABLEAU_BOXES or hook_dimension(shape) > _MAX_TABLEAUX:
+            raise ValueError(f"--shape {shape}: tableaux lists shapes of at most "
+                             f"{_MAX_TABLEAU_BOXES} boxes with at most {_MAX_TABLEAUX} tableaux")
         tabs = standard_tableaux(shape)
         payload = {"shape": list(shape), "count": len(tabs),
                    "tableaux": [[list(row) for row in t.rows] for t in tabs]}
         _emit(payload, [str(t) for t in tabs], args.format, args.out)
         return 0
+    if args.action in ("mult", "projmat"):
+        l, m, n = (_parse_shape(getattr(args, f), f"--{f}") for f in "lmn")
     if args.action == "mult":
-        l, m, n = (_parse_shape(s) for s in (args.l, args.m, args.n))
         v = multiplicity(l, m, n)
         _emit({"l": list(l), "m": list(m), "n": list(n), "multiplicity": v},
               [f"multiplicity: {v}"], args.format, args.out)
         return 0
     if args.action == "projmat":
-        l, m, n = (_parse_shape(s) for s in (args.l, args.m, args.n))
         M = projection_matrix(l, m, n)
         payload = {"l": list(l), "m": list(m), "n": list(n),
                    "matrix": _frac_matrix(M.entries)}

@@ -2,7 +2,8 @@
 
 Every variable comes in a pair (x1, x2) drawn from a fixed registry of pair
 names.  A MultiForm is a sparse polynomial over the rationals in any subset
-of those pairs, with a declared homogeneity order per pair.  On top of the
+of those pairs, with a homogeneity order per pair read off its terms; an
+order a caller declares is checked against them.  On top of the
 ring operations this module provides the differential operators that drive
 everything else in the package: the omega operator (the 2x2 polarization
 determinant), single-pair polarization, bracket monomials, pair
@@ -162,10 +163,15 @@ class MultiForm:
 
     Terms are keyed by flattened exponent tuples laid out pair by pair in
     alphabetical pair order: for pairs ("x", "y") the key (2, 0, 1, 1)
-    means x1^2 * y1 * y2.  `orders` declares the homogeneity order of the
-    form in each active pair; the value None marks a transiently
-    inhomogeneous pair (it arises from adding forms of different orders
-    and is never produced by the operator routes).
+    means x1^2 * y1 * y2.  `orders` gives the homogeneity order of the
+    form in each active pair, read off the terms: the exponent sum they
+    share in that pair, or None when they disagree (a transient state that
+    arises from adding forms of different orders and is never produced by
+    the operator routes).  Pairs of order 0 are pruned.
+
+    The constructor's `orders` names the pairs the exponent keys lay out
+    and may declare their orders; a declared int is checked against the
+    terms, None declares nothing.
     """
 
     __slots__ = ("pairs", "orders", "terms", "_hash")
@@ -178,64 +184,46 @@ class MultiForm:
             if o is not None and (not isinstance(o, int) or o < 0):
                 raise ValueError(f"bad order for pair {name!r}: {o!r}")
         width = 2 * len(pairs)
-        clean: dict = {}
-        for key, c in terms.items():
+        for key in terms:
             if len(key) != width or any((not isinstance(e, int)) or e < 0 for e in key):
                 raise ValueError(f"bad exponent key {key!r} for pairs {pairs!r}")
-            c = Fraction(c)
-            if c:
-                clean[tuple(key)] = c
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "orders", {p: orders[p] for p in pairs})
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        self._canonicalize(check_declared=True)
+        self._canonicalize(pairs, {tuple(key): Fraction(c) for key, c in terms.items()})
+        if self.terms:
+            for name in pairs:
+                if orders[name] is not None and self.order(name) != orders[name]:
+                    raise ValueError(f"order mismatch for pair {name!r}")
 
     @classmethod
-    def _make(cls, pairs: tuple, orders: Mapping[str, Optional[int]], terms: Mapping[tuple, Coeff]) -> "MultiForm":
+    def _make(cls, pairs: tuple, terms: Mapping[tuple, Coeff]) -> "MultiForm":
         # internal fast path: trusted layout, still canonicalized
         self = object.__new__(cls)
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "orders", dict(orders))
-        object.__setattr__(self, "terms", {k: Fraction(c) for k, c in terms.items() if c})
-        object.__setattr__(self, "_hash", None)
-        self._canonicalize(check_declared=False)
+        self._canonicalize(pairs, terms)
         return self
 
-    def _canonicalize(self, check_declared: bool) -> None:
-        pairs = self.pairs
-        terms = self.terms
-        if not terms:
-            object.__setattr__(self, "pairs", ())
-            object.__setattr__(self, "orders", {})
-            return
-        # per-pair exponent sums: validate or promote declared orders,
-        # then prune pairs the form does not actually involve
+    def _canonicalize(self, pairs: tuple, terms: Mapping[tuple, Coeff]) -> None:
+        # the one place a form's shape is decided: a pair's order is its
+        # exponent sum, None when the terms disagree, and pairs of order 0
+        # are pruned
+        terms = {k: Fraction(c) for k, c in terms.items() if c}
         keep = []
         orders = {}
-        drop_slots = []
+        drop = set()
         for i, name in enumerate(pairs):
             sums = {key[2 * i] + key[2 * i + 1] for key in terms}
-            declared = self.orders[name]
-            if declared is None:
-                if len(sums) == 1:
-                    declared = next(iter(sums))
-            elif check_declared and sums != {declared}:
-                raise ValueError(f"order mismatch for pair {name!r}")
-            if declared == 0:
-                drop_slots.extend((2 * i, 2 * i + 1))
+            if sums <= {0}:  # the zero form, or order 0 in this pair
+                drop.update((2 * i, 2 * i + 1))
             else:
                 keep.append(name)
-                orders[name] = declared
-        if drop_slots:
-            drop = set(drop_slots)
+                orders[name] = sums.pop() if len(sums) == 1 else None
+        if drop:
             terms = {
                 tuple(e for j, e in enumerate(key) if j not in drop): c
                 for key, c in terms.items()
             }
-            object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "pairs", tuple(keep))
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
 
     # -- queries ----------------------------------------------------------
 
@@ -271,17 +259,12 @@ class MultiForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiForm):
             return NotImplemented
-        return (
-            self.pairs == other.pairs
-            and self.orders == other.orders
-            and self.terms == other.terms
-        )
+        return self.pairs == other.pairs and self.terms == other.terms
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.pairs, tuple(sorted(self.orders.items(), key=lambda kv: kv[0])),
-                      frozenset(self.terms.items())))
+            h = hash((self.pairs, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -307,11 +290,11 @@ class MultiForm:
 
     @staticmethod
     def zero() -> "MultiForm":
-        return MultiForm({}, {})
+        return MultiForm._make((), {})
 
     @staticmethod
     def constant(c: Coeff) -> "MultiForm":
-        return MultiForm({}, {(): c})
+        return MultiForm._make((), {(): c})
 
     @staticmethod
     def monomial(exps: Mapping[str, tuple], coeff: Coeff = 1) -> "MultiForm":
@@ -364,15 +347,6 @@ def _aligned(terms: Mapping, old_pairs: tuple, new_pairs: tuple) -> dict:
     return out
 
 
-def _merge_orders(f: MultiForm, g: MultiForm, pairs: tuple, combine) -> dict:
-    orders = {}
-    for name in pairs:
-        o1 = f.orders.get(name, 0)
-        o2 = g.orders.get(name, 0)
-        orders[name] = combine(o1, o2)
-    return orders
-
-
 def add(f: MultiForm, g: MultiForm) -> MultiForm:
     if not f.terms:
         return g
@@ -381,24 +355,16 @@ def add(f: MultiForm, g: MultiForm) -> MultiForm:
     pairs = tuple(sorted(set(f.pairs) | set(g.pairs)))
     terms = _aligned(f.terms, f.pairs, pairs)
     _raw_add_into(terms, _aligned(g.terms, g.pairs, pairs))
-
-    def comb_orders(o1, o2):
-        if o1 is None or o2 is None or o1 != o2:
-            return None
-        return o1
-
-    return MultiForm._make(pairs, _merge_orders(f, g, pairs, comb_orders), terms)
+    return MultiForm._make(pairs, terms)
 
 
 def negate(f: MultiForm) -> MultiForm:
-    return MultiForm._make(f.pairs, f.orders, {k: -c for k, c in f.terms.items()})
+    return MultiForm._make(f.pairs, {k: -c for k, c in f.terms.items()})
 
 
 def scale(f: MultiForm, c: Coeff) -> MultiForm:
     c = Fraction(c)
-    if not c:
-        return MultiForm.zero()
-    return MultiForm._make(f.pairs, f.orders, {k: v * c for k, v in f.terms.items()})
+    return MultiForm._make(f.pairs, {k: v * c for k, v in f.terms.items()})
 
 
 def mul(f: MultiForm, g: MultiForm) -> MultiForm:
@@ -407,13 +373,7 @@ def mul(f: MultiForm, g: MultiForm) -> MultiForm:
     pairs = tuple(sorted(set(f.pairs) | set(g.pairs)))
     t1 = _aligned(f.terms, f.pairs, pairs)
     t2 = _aligned(g.terms, g.pairs, pairs)
-
-    def comb_orders(o1, o2):
-        if o1 is None or o2 is None:
-            return None
-        return o1 + o2
-
-    return MultiForm._make(pairs, _merge_orders(f, g, pairs, comb_orders), _raw_mul(t1, t2))
+    return MultiForm._make(pairs, _raw_mul(t1, t2))
 
 
 def evaluate(f: MultiForm, assignment: Mapping[str, tuple]) -> Fraction:
@@ -444,8 +404,6 @@ def exact_divide(f: MultiForm, g: MultiForm) -> MultiForm:
     """
     if not g.terms:
         raise ZeroDivisionError("division by zero form")
-    if not f.terms:
-        return MultiForm.zero()
     pairs = tuple(sorted(set(f.pairs) | set(g.pairs)))
     rem = _aligned(f.terms, f.pairs, pairs)
     gt = _aligned(g.terms, g.pairs, pairs)
@@ -466,17 +424,7 @@ def exact_divide(f: MultiForm, g: MultiForm) -> MultiForm:
                 rem[nk] = nc
             else:
                 rem.pop(nk, None)
-
-    def comb_orders(o1, o2):
-        if o1 is None or o2 is None:
-            return None
-        return o1 - o2
-
-    orders = {}
-    for name in pairs:
-        o = comb_orders(f.orders.get(name, 0), g.orders.get(name, 0))
-        orders[name] = None if (o is not None and o < 0) else o
-    return MultiForm._make(pairs, orders, quot)
+    return MultiForm._make(pairs, quot)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +447,7 @@ def omega_power(f: MultiForm, a: str, b: str, r: int) -> MultiForm:
     if r == 0:
         return f
     terms = _raw_omega_power(f.terms, f._slot(a), f._slot(b), r)
-    if not terms:
-        return MultiForm.zero()
-    orders = dict(f.orders)
-    for name in (a, b):
-        if orders[name] is not None:
-            orders[name] -= r
-    return MultiForm._make(f.pairs, orders, terms)
+    return MultiForm._make(f.pairs, terms)
 
 
 def omega(f: MultiForm, a: str, b: str) -> MultiForm:
@@ -538,14 +480,7 @@ def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
         return f
     pairs, terms = _widened(f, src, dst)
     terms = _raw_polarize(terms, 2 * pairs.index(src), 2 * pairs.index(dst), ell)
-    if not terms:
-        return MultiForm.zero()
-    orders = {name: f.orders.get(name, 0) for name in pairs}
-    if orders[src] is not None:
-        orders[src] -= ell
-    if orders[dst] is not None:
-        orders[dst] += ell
-    return MultiForm._make(pairs, orders, terms)
+    return MultiForm._make(pairs, terms)
 
 
 def bracket_power(a: str, b: str, r: int) -> MultiForm:
@@ -561,8 +496,7 @@ def bracket_power(a: str, b: str, r: int) -> MultiForm:
     pairs = tuple(sorted((a, b)))
     sa = 2 * pairs.index(a)
     sb = 2 * pairs.index(b)
-    terms = _raw_bracket_power(4, sa, sb, r)
-    return MultiForm._make(pairs, {a: r, b: r}, terms)
+    return MultiForm._make(pairs, _raw_bracket_power(4, sa, sb, r))
 
 
 def bracket(a: str, b: str) -> MultiForm:
@@ -577,14 +511,7 @@ def substitute_pair(f: MultiForm, src: str, dst: str) -> MultiForm:
         return f
     pairs, terms = _widened(f, src, dst)
     terms = _raw_substitute(terms, 2 * pairs.index(src), 2 * pairs.index(dst))
-    if not terms:
-        return MultiForm.zero()
-    orders = {name: f.orders.get(name, 0) for name in pairs}
-    osrc, odst = orders[src], orders[dst]
-    orders[dst] = None if (osrc is None or odst is None) else osrc + odst
-    orders[src] = 0
-    out = MultiForm._make(pairs, orders, terms)
-    return out
+    return MultiForm._make(pairs, terms)
 
 
 def linear_substitute(f: MultiForm, pair: str, coeffs: tuple) -> MultiForm:
@@ -611,9 +538,7 @@ def linear_substitute(f: MultiForm, pair: str, coeffs: tuple) -> MultiForm:
                     out[nk] = nc
                 else:
                     del out[nk]
-    if not out:
-        return MultiForm.zero()
-    return MultiForm._make(f.pairs, f.orders, out)
+    return MultiForm._make(f.pairs, out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ its conjectured analogue for degrees 6 and 7.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import factorial, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -666,6 +666,12 @@ _COUPLING_NAMES = (
     "two-row*two-row->standard",
 )
 
+# The basis the anchors and (32, 100, 25, -180) are stated in: diagonal
+# signs (standard module, two-row module) applied to the canonical bases.
+# It differs from the canonical standard basis in the sign of basis vector
+# 2; the two-row bases agree.
+_S5_BASIS_SIGNS = ((1, -1, 1, 1), (1, 1, 1, 1, 1))
+
 FiveMaps = Tuple[Sequence[Sequence], ...]
 
 
@@ -759,23 +765,10 @@ def _residual_vanishes(rows: Sequence[Tuple], coeffs: Sequence[int]) -> bool:
     return all(sum(cv * rv for cv, rv in zip(c, row)) == 0 for row in rows)
 
 
-def _transition_candidates(d1: int, d2: int):
-    """Diagonal sign twists ordered by flip count; first entries pinned +1
-    since global signs do not move the relation."""
-    slots = [("std", i) for i in range(1, d1)] + [("two", i) for i in range(1, d2)]
-    for r in range(len(slots) + 1):
-        for combo in combinations(slots, r):
-            tau = [1] * d1
-            sigma = [1] * d2
-            for kind, i in combo:
-                (tau if kind == "std" else sigma)[i] = -1
-            yield tuple(tau), tuple(sigma)
-
-
 @lru_cache(maxsize=None)
 def _matched_s5_system() -> Tuple:
-    """The d=5 anchored system together with the sign transition (if any)
-    that makes its kernel exactly the pinned coefficient vector.
+    """The d=5 system in the anchored scaling, on the canonical bases
+    changed by the stated signs _S5_BASIS_SIGNS.
 
     Returns (rows, tau, sigma, matched_scaling, raw_anchor_values,
     raw_coefficients, anchored_coefficients)."""
@@ -783,24 +776,12 @@ def _matched_s5_system() -> Tuple:
     std, two, _ = _relation_shapes(d)
     d1, d2 = _module(std).dim, _module(two).dim
     raw = _five_couplings(d)
-    raw_anchors = _anchor_values(raw)
-    raw_rows = _pointwise_rows(raw, d1, d2)
-    _, raw_coeffs = _kernel_coefficients(raw_rows)
-
-    plain = _anchored(raw)
-    plain_rows = _pointwise_rows(plain, d1, d2)
-    _, plain_coeffs = _kernel_coefficients(plain_rows)
-
-    for tau, sigma in _transition_candidates(d1, d2):
-        maps = _twisted(raw, tau, sigma, d1, d2) if any(
-            v < 0 for v in tau + sigma) else raw
-        rows = plain_rows if maps is raw else _pointwise_rows(_anchored(maps), d1, d2)
-        kdim, coeffs = _kernel_coefficients(rows)
-        if kdim == 1 and coeffs == _RELATION_TARGET:
-            scaling = "anchored" if maps is raw else "anchored+transition"
-            return (tuple(rows), tau, sigma, scaling, raw_anchors,
-                    raw_coeffs, plain_coeffs)
-    return (tuple(plain_rows), (1,) * d1, (1,) * d2, "none", raw_anchors,
+    _, raw_coeffs = _kernel_coefficients(_pointwise_rows(raw, d1, d2))
+    _, plain_coeffs = _kernel_coefficients(_pointwise_rows(_anchored(raw), d1, d2))
+    tau, sigma = _S5_BASIS_SIGNS
+    rows = _pointwise_rows(_anchored(_twisted(raw, tau, sigma, d1, d2)), d1, d2)
+    scaling = "anchored+transition" if -1 in tau + sigma else "anchored"
+    return (tuple(rows), tau, sigma, scaling, _anchor_values(raw),
             raw_coeffs, plain_coeffs)
 
 
@@ -840,10 +821,11 @@ def verify_s5_syzygy() -> S5Report:
     """Check the degree-5 relation on all 16 basis pairs and report how its
     coefficients compare to (32, 100, 25, -180).
 
-    The couplings are rescaled to the fixed anchor coefficients
-    (-3, 2, 2, -2, 2); if the canonical basis disagrees with the basis
-    implied by those anchors, the minimal diagonal sign change that
-    reconciles them is searched for and reported."""
+    The couplings are taken in the basis the relation is stated in (the
+    canonical bases changed by the signs _S5_BASIS_SIGNS, reported as the
+    transition) and rescaled to the fixed anchor coefficients
+    (-3, 2, 2, -2, 2).  No convention is searched for, so a change of basis
+    that moves the coefficients fails the check."""
     coupling_mult = multiplicity((3, 2), (3, 2), (4, 1))
     wedge_mult = multiplicity((3, 1, 1), (3, 1, 1), (4, 1))
     trivial_dim = _module((5,)).dim
@@ -860,7 +842,7 @@ def verify_s5_syzygy() -> S5Report:
         if all(Fraction(c) == ratio * t for c, t in zip(coeffs, _RELATION_TARGET)):
             scale = ratio
     passed = (coupling_mult == 1 and wedge_mult >= 1 and trivial_dim == 1
-              and scaling != "none" and kdim == 1 and scale is not None
+              and kdim == 1 and scale is not None
               and identity_exact and perturbation_breaks)
     return S5Report(
         passed=passed,

@@ -107,7 +107,7 @@ class BinaryForm:
                 raise ValueError(f"serialized form needs a field {field!r} of type {kind.__name__}")
         try:
             coeffs = [Fraction(c) for c in data["coeffs"]]
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError("serialized form has a non-rational entry in 'coeffs'") from None
         bf = cls.from_coeffs(coeffs, data["pair"], data["convention"])
         if bf.order != data["order"]:
@@ -163,13 +163,16 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     t = A.pair
     s = _partner(t)
     Bf = substitute_pair(B.form, t, s) if t in B.form.pairs else B.form
-    F = mul(A.form, Bf)
-    G = omega_power(F, t, s, r) if r else F
-    if G.is_zero():
-        return BinaryForm(t, out_order, MultiForm.zero())
+    return BinaryForm(t, out_order, _project(mul(A.form, Bf), t, s, m, n, r))
+
+
+def _project(F: MultiForm, t: str, s: str, m: int, n: int, r: int) -> MultiForm:
+    """f(m,n;r) * Omega^r F with pair s merged into pair t, for F of
+    orders (m,n) in (t,s)."""
+    G = omega_power(F, t, s, r)
     if s in G.pairs:
         G = substitute_pair(G, s, t)
-    return BinaryForm(t, out_order, scale(G, factor_f(m, n, r)))
+    return scale(G, factor_f(m, n, r))
 
 
 def _derivative(form: MultiForm, pair: str, d1: int, d2: int) -> MultiForm:
@@ -183,12 +186,7 @@ def _derivative(form: MultiForm, pair: str, d1: int, d2: int) -> MultiForm:
         nk[s] = e1 - d1
         nk[s + 1] = e2 - d2
         out[tuple(nk)] = c * perm(e1, d1) * perm(e2, d2)
-    if not out:
-        return MultiForm.zero()
-    o = form.orders[pair]
-    orders = dict(form.orders)
-    orders[pair] = None if o is None else o - d1 - d2
-    return MultiForm._make(form.pairs, orders, out)
+    return MultiForm._make(form.pairs, out)
 
 
 def transvect_derivative(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
@@ -222,12 +220,7 @@ def project_pi(F: MultiForm, m: int, n: int, r: int) -> MultiForm:
         return MultiForm.zero()
     if F.order("x") != m or F.order("y") != n:
         raise ValueError("order mismatch for pair 'x'/'y'")
-    G = omega_power(F, "x", "y", r) if r else F
-    if G.is_zero():
-        return MultiForm.zero()
-    if "y" in G.pairs:
-        G = substitute_pair(G, "y", "x")
-    return scale(G, factor_f(m, n, r))
+    return _project(F, "x", "y", m, n, r)
 
 
 def section_iota(C, m: int, n: int, r: int) -> MultiForm:

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface and the suite runner."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binform.checks import REGISTRY, SUITES
 from binform.cli import main, run_suite
@@ -252,3 +256,68 @@ class TestMainInProcess:
     def test_main_value_error_returns_two(self, capsys):
         assert main(["sixj", "--js", "1 2 3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_inline_zero_denominator_exit_two(self, capsys):
+        for argv, flag in (
+            (["transvect", "--m", "2", "--n", "2", "--r", "1",
+              "--A", "1 0 1/0", "--B", "0 1 0"], "--A"),
+            (["sixj", "--js", "1/0 1 1 1 1 1"], "--js"),
+            (["ninej", "--array", "1/0 1 1; 1 1 1; 1 1 1"], "--array"),
+        ):
+            assert main(argv) == 2
+            assert flag in capsys.readouterr().err
+
+    def test_threej_entry_count_exit_two(self, capsys):
+        assert main(["threej", "--j", "1 1", "--m", "1 -1 0"]) == 2
+        assert "3 entries in --j, got 2" in capsys.readouterr().err
+        assert main(["threej", "--j", "1 1 1", "--m", "1 -1 0 0"]) == 2
+        assert "3 entries in --m, got 4" in capsys.readouterr().err
+
+    def test_sym_missing_partition_exit_two(self, capsys):
+        assert main(["sym", "mult", "--l", "3,2"]) == 2
+        assert "--m is required" in capsys.readouterr().err
+        assert main(["sym", "projmat", "--l", "3,1", "--m", "2,2"]) == 2
+        assert "--n is required" in capsys.readouterr().err
+
+    def test_oversized_tableaux_shape_exit_two(self, capsys):
+        assert main(["sym", "tableaux", "--shape", "999"]) == 2
+        assert main(["sym", "tableaux", "--shape", "9,9,9"]) == 2
+        assert "--shape" in capsys.readouterr().err
+
+
+# Every parser that reads free text, with the other flags pinned to small
+# valid values; the text is passed as --flag=TEXT so argparse never reads it
+# as an option.
+_FUZZED = {
+    "--A": lambda t: ["transvect", "--m", "2", "--n", "2", "--r", "1",
+                      f"--A={t}", "--B", "0 1 0"],
+    "--j": lambda t: ["threej", f"--j={t}", "--m", "0 0 0"],
+    "--m": lambda t: ["threej", "--j", "1 1 1", f"--m={t}"],
+    "--js": lambda t: ["sixj", f"--js={t}"],
+    "--array": lambda t: ["ninej", f"--array={t}"],
+    "--shape": lambda t: ["sym", "tableaux", f"--shape={t}"],
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+# The numeric alphabet is kept to 10 characters: commands have no work
+# limits yet, and a valid 3-j with five-digit entries runs for minutes.
+_flag_text = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789-/., ;{}", max_size=10),
+    st.dictionaries(st.sampled_from(["pair", "order", "coeffs", "convention"]),
+                    _json_values).map(json.dumps),
+)
+
+
+@pytest.mark.parametrize("flag", sorted(_FUZZED))
+@settings(max_examples=150, deadline=None)
+@given(text=_flag_text)
+@example(text="1/0")
+@example(text="1 0 1/0")
+@example(text="999")
+@example(text='{"coeffs": [1e400], "order": 0}')
+def test_parsers_exit_zero_or_two(flag, text):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(_FUZZED[flag](text)) in (0, 2)

@@ -264,3 +264,44 @@ def test_omega_lowers_orders(f, r):
     if not out.is_zero():
         assert out.order("x") == f.order("x") - r
         assert out.order("y") == f.order("y") - r
+
+
+def _orders_of_terms(f):
+    """The orders a form's terms give: each pair's exponent sum, or None."""
+    out = {}
+    for i, name in enumerate(f.pairs):
+        sums = {key[2 * i] + key[2 * i + 1] for key in f.terms}
+        out[name] = sums.pop() if len(sums) == 1 else None
+    return out
+
+
+# homogeneous forms and sums of two, which are inhomogeneous when the
+# summands' orders differ
+any_forms = st.one_of(homogeneous_forms(), st.builds(add, homogeneous_forms(), homogeneous_forms()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_forms, any_forms, st.integers(min_value=0, max_value=3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_orders_are_read_off_the_terms(f, g, k, c):
+    results = [add(f, g), mul(f, g), scale(f, c)]
+    if g:
+        results.append(exact_divide(mul(f, g), g))
+    if "x" in f.pairs and "y" in f.pairs:
+        results.append(omega_power(f, "x", "y", k))
+    if "x" in f.pairs:
+        results += [polarize(f, "x", "y", k), polarize(f, "x", "z", k),
+                    substitute_pair(f, "x", "y"), substitute_pair(f, "x", "z"),
+                    linear_substitute(f, "x", (1, c, 2, -1))]
+    for h in results:
+        assert h.orders == _orders_of_terms(h)
+        assert 0 not in h.orders.values()
+        assert MultiForm(h.orders, h.terms) == h
+
+
+def test_declared_order_checked_against_terms():
+    with pytest.raises(ValueError, match="order mismatch"):
+        MultiForm({"x": 1}, {(1, 0): 1, (2, 0): 1})
+    with pytest.raises(ValueError, match="order mismatch"):
+        MultiForm({"x": 0, "y": 1}, {(1, 0, 1, 0): 1})
+    assert MultiForm({"x": 3}, {}).is_zero()

@@ -7,7 +7,7 @@ from math import factorial, gcd
 
 import pytest
 
-from binform import seeding
+from binform import seeding, symgroup
 from binform.symgroup import (
     ConjectureReport,
     RepMatrix,
@@ -357,6 +357,21 @@ class TestS5Relation:
             _anchored(tuple(maps))
         assert "standard*standard->two-row" in str(err.value)
         assert "expected 2" in str(err.value)
+
+    def test_basis_convention_is_stated_not_searched(self, monkeypatch):
+        # in the canonical bases the relation reads (32, -100, 25, -180):
+        # the check must fail rather than look for signs that repair it
+        canonical = ((1, 1, 1, 1), (1, 1, 1, 1, 1))
+        monkeypatch.setattr(symgroup, "_S5_BASIS_SIGNS", canonical)
+        symgroup._matched_s5_system.cache_clear()
+        try:
+            rep = verify_s5_syzygy()
+            assert not rep.passed
+            assert rep.coefficients == (32, -100, 25, -180)
+            assert rep.transition is None
+            assert not conjecture_check(5).passed
+        finally:
+            symgroup._matched_s5_system.cache_clear()
 
 
 class TestConjecture:
