@@ -256,8 +256,8 @@ def _cmd_sixj(args) -> int:
     return 0
 
 
-# `sym tableaux` lists every tableau, one recursion level per box; larger
-# shapes would hang the command or exhaust the stack
+# `sym tableaux` lists every tableau; the caps bound the factorial in
+# hook_dimension and the size of the listing
 _MAX_TABLEAU_BOXES = 100
 _MAX_TABLEAUX = 10_000
 

@@ -7,13 +7,19 @@ transporting joint eigenvectors of the Jucys-Murphy elements.  The headline
 checks: the degree-5 quadratic relation between the projections of a tensor
 square of the standard module, with coefficients (32, 100, 25, -180), and
 its conjectured analogue for degrees 6 and 7.
+
+All linear algebra is over the integers.  Kernels, ranks and the coupling
+solve share one fraction-free row reduction (_row_reduce) that keeps every
+row primitive; expanding a vector in a module's basis needs no elimination,
+because the basis is unitriangular on the tableaux's own column tabloids
+(see _ColumnSpan).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Shape = Tuple[int, ...]
@@ -139,26 +145,13 @@ class StandardTableau:
 def standard_tableaux(shape: Iterable[int]) -> List[StandardTableau]:
     """All standard tableaux of the shape, listed by row-reading word."""
     sh = check_shape(shape)
-    d = sum(sh)
-    fill = [[] for _ in sh]
-
-    found: List[Tuple[Tuple[int, ...], ...]] = []
-
-    def place(k: int) -> None:
-        if k > d:
-            found.append(tuple(tuple(row) for row in fill))
-            return
-        for r in range(len(sh)):
-            c = len(fill[r])
-            if c >= sh[r]:
-                continue
-            if r > 0 and len(fill[r - 1]) <= c:
-                continue
-            fill[r].append(k)
-            place(k + 1)
-            fill[r].pop()
-
-    place(1)
+    # the fillings of 1..k, grown one entry at a time; each extends to at
+    # least one standard tableau, so none is wasted
+    found: List[Tuple[Tuple[int, ...], ...]] = [((),) * len(sh)]
+    for k in range(1, sum(sh) + 1):
+        found = [rows[:r] + (rows[r] + (k,),) + rows[r + 1:]
+                 for rows in found for r in range(len(sh))
+                 if len(rows[r]) < sh[r] and (r == 0 or len(rows[r - 1]) > len(rows[r]))]
     found.sort(key=lambda rows: tuple(x for row in rows for x in row))
     return [StandardTableau(sh, rows) for rows in found]
 
@@ -179,49 +172,59 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def _invert_fraction_matrix(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(rows)
-    work = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, r in enumerate(rows)]
-    for j in range(n):
-        pr = next(i for i in range(j, n) if work[i][j] != 0)
-        work[j], work[pr] = work[pr], work[j]
-        inv = 1 / work[j][j]
-        work[j] = [v * inv for v in work[j]]
-        for i in range(n):
-            if i != j and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [a - f * b for a, b in zip(work[i], work[j])]
-    return [row[n:] for row in work]
+def _scale_to_int(vec: Sequence[Fraction]) -> List[int]:
+    """The primitive integer vector on the ray of a rational or integer vector."""
+    den = 1
+    for v in vec:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
 
 
-def _kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
-    work = [[Fraction(v) for v in row] for row in rows]
-    pivots: List[int] = []
-    r = 0
+def _row_reduce(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
+    """Reduced row echelon form of a rational matrix, computed over the
+    integers: the nonzero rows, each primitive with a positive pivot that is
+    the only nonzero entry of its column, pivot columns increasing."""
+    work = [_scale_to_int(row) for row in rows if any(row)]
+    reduced: List[List[int]] = []
     for j in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][j] != 0), None)
-        if pr is None:
+        pick = next((i for i, row in enumerate(work) if row[j]), None)
+        if pick is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][j]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(j)
-        r += 1
-        if r == len(work):
+        piv = work.pop(pick)
+        if piv[j] < 0:
+            piv = [-v for v in piv]
+        a = piv[j]
+        for group in (reduced, work):
+            for i, row in enumerate(group):
+                f = row[j]
+                if f:
+                    group[i] = _scale_to_int([a * x - f * y for x, y in zip(row, piv)])
+        work = [row for row in work if any(row)]
+        reduced.append(piv)
+        if not work:
             break
-    free = [j for j in range(ncols) if j not in pivots]
+    return reduced
+
+
+def _kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
+    """Primitive integer vectors spanning the right kernel, one per free
+    column of the reduced form."""
+    reduced = _row_reduce(rows, ncols)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in reduced]
+    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     basis = []
-    for fj in free:
-        vec = [Fraction(0)] * ncols
-        vec[fj] = Fraction(1)
-        for row_idx, pj in enumerate(pivots):
-            vec[pj] = -work[row_idx][fj]
-        basis.append(vec)
+    for fj in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[fj] = scale
+        for row, pj in zip(reduced, pivots):
+            vec[pj] = -row[fj] * (scale // row[pj])
+        basis.append(_scale_to_int(vec))
     return basis
 
 
@@ -252,6 +255,13 @@ class _ColumnSpan:
     with the sign that sorts each column increasing.  The basis is indexed
     by standard tableaux ordered by column reading word; display lists from
     standard_tableaux use row-reading order, which is the reverse.
+
+    In this order basis vector j has coefficient 1 at tableau j's own column
+    tabloid and 0 at the own tabloids of all earlier tableaux: the dominance
+    lemma behind the independence of standard polytabloids (Sagan, The
+    Symmetric Group, 2nd ed., section 2.5).  So the integer coefficients of
+    any vector in the span are read off in basis order, subtracting each
+    vector as it is found; whatever is left over lies outside the span.
     """
 
     def __init__(self, shape: Shape):
@@ -262,15 +272,20 @@ class _ColumnSpan:
         self.dim = len(self.tableaux)
         self._key_index: Dict[Tuple[Tuple[int, ...], ...], int] = {}
         self._columns = [self._basis_vector(t) for t in self.tableaux]
+        self._own = [self._key_index[self._own_key(t)] for t in self.tableaux]
         self._keys = [None] * len(self._key_index)
         for k, i in self._key_index.items():
             self._keys[i] = k
-        self._prepare_solver()
         self._matrices: Dict[Perm, Matrix] = {}
 
+    @staticmethod
+    def _own_key(t: StandardTableau) -> Tuple[Tuple[int, ...], ...]:
+        # the tableau's own column tabloid; standard columns are sorted
+        return tuple(tuple(row[c] for row in t.rows if len(row) > c)
+                     for c in range(t.shape[0]))
+
     def _basis_vector(self, t: StandardTableau) -> Dict[int, int]:
-        cols = [tuple(row[c] for row in t.rows if len(row) > c)
-                for c in range(t.shape[0])]
+        cols = self._own_key(t)
         vec: Dict[int, int] = {}
         for images in product(*(permutations(row) for row in t.rows)):
             relabel: Dict[int, int] = {}
@@ -286,46 +301,18 @@ class _ColumnSpan:
             vec[idx] = vec.get(idx, 0) + sign
         return {k: v for k, v in vec.items() if v}
 
-    def _prepare_solver(self) -> None:
-        # pick dim independent tabloid coordinates and invert that block
-        ntab = len(self._key_index)
-        dense = [[0] * self.dim for _ in range(ntab)]
-        for j, col in enumerate(self._columns):
-            for i, v in col.items():
-                dense[i][j] = v
-        work = [[Fraction(x) for x in row] for row in dense]
-        pivot_rows: List[int] = []
-        row_used = [False] * ntab
-        for j in range(self.dim):
-            pr = next(i for i in range(ntab) if not row_used[i] and work[i][j] != 0)
-            row_used[pr] = True
-            pivot_rows.append(pr)
-            inv = 1 / work[pr][j]
-            for i in range(ntab):
-                if i != pr and work[i][j] != 0:
-                    f = work[i][j] * inv
-                    wi, wp = work[i], work[pr]
-                    for k in range(j, self.dim):
-                        wi[k] -= f * wp[k]
-        block = [[Fraction(dense[r][j]) for j in range(self.dim)] for r in pivot_rows]
-        self._pivot_rows = pivot_rows
-        self._block_inverse = _invert_fraction_matrix(block)
-
     def _solve(self, target: Dict[int, int]) -> Tuple[int, ...]:
-        rhs = [Fraction(target.get(r, 0)) for r in self._pivot_rows]
-        x = [sum(self._block_inverse[i][k] * rhs[k] for k in range(self.dim))
-             for i in range(self.dim)]
+        # peel basis vectors off in order: each earlier one is already
+        # subtracted when vector j's coefficient is read at its own tabloid
+        residual = dict(target)
         coeffs = []
-        for v in x:
-            if v.denominator != 1:
-                raise ArithmeticError("expansion is not integral")
-            coeffs.append(int(v))
-        check: Dict[int, int] = {}
-        for j, c in enumerate(coeffs):
+        for own, col in zip(self._own, self._columns):
+            c = residual.get(own, 0)
+            coeffs.append(c)
             if c:
-                for i, v in self._columns[j].items():
-                    check[i] = check.get(i, 0) + c * v
-        if {k: v for k, v in check.items() if v} != target:
+                for i, v in col.items():
+                    residual[i] = residual.get(i, 0) - c * v
+        if any(residual.values()):
             raise ArithmeticError("expansion left the standard span")
         return tuple(coeffs)
 
@@ -503,20 +490,6 @@ def _tensor_apply(ql: Matrix, qm: Matrix, vec: Sequence[int]) -> List[int]:
     return out
 
 
-def _scale_to_int(vec: Sequence[Fraction]) -> List[int]:
-    """The primitive integer vector on the ray of a rational or integer vector."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
 def _eigen_intersect(apply_k, n: int, contents: Dict[int, int], d: int) -> List[List[int]]:
     """Joint eigenspace of the Jucys-Murphy actions with the given contents."""
     basis: List[List[int]] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
@@ -526,12 +499,8 @@ def _eigen_intersect(apply_k, n: int, contents: Dict[int, int], d: int) -> List[
         nb = len(basis)
         rows = [[images[j][i] - ck * basis[j][i] for j in range(nb)] for i in range(n)]
         kernel = _kernel_basis(rows, nb)
-        newbasis = []
-        for y in kernel:
-            yi = _scale_to_int(y)
-            vec = [sum(yi[j] * basis[j][i] for j in range(nb)) for i in range(n)]
-            newbasis.append(_scale_to_int(vec))
-        basis = newbasis
+        basis = [_scale_to_int([sum(y[j] * basis[j][i] for j in range(nb))
+                                for i in range(n)]) for y in kernel]
         if not basis:
             break
     return basis
@@ -605,8 +574,7 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
                 nw = [sum(qn[r][cc] * wx[cc] for cc in range(dn) if wx[cc])
                       for r in range(dn)]
                 nu_vec = _tensor_apply(lmod.matrix(g), mmod.matrix(g), ux)
-                trial = [[Fraction(col[i]) for col in wcols + [nw]] for i in range(dn)]
-                if not _kernel_basis(trial, len(wcols) + 1):
+                if len(_row_reduce(wcols + [nw], dn)) > len(wcols):
                     wcols.append(nw)
                     ucols.append(nu_vec)
                     progressed = True
@@ -619,11 +587,13 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
         if not progressed and len(wcols) < dn:
             raise ArithmeticError("transport failed to span the target")
 
-    winv = _invert_fraction_matrix(
-        [[Fraction(wcols[j][i]) for j in range(dn)] for i in range(dn)])
-    raw = [[sum(Fraction(ucols[j][p]) * winv[j][k] for j in range(dn))
-            for k in range(dn)] for p in range(dl * dm)]
-    flat = _integerize([x for row in raw for x in row])
+    # M W = U with W, U the matrices of columns wcols, ucols: reducing the
+    # rows of [W^T | U^T] leaves a_k e_k on the left and a_k times column k
+    # of M on the right
+    reduced = _row_reduce([wc + uc for wc, uc in zip(wcols, ucols)], dn)
+    scale = lcm(*(row[k] for k, row in enumerate(reduced)))
+    flat = _integerize([reduced[k][dn + p] * (scale // reduced[k][k])
+                        for p in range(dl * dm) for k in range(dn)])
     M = tuple(flat[p * dn:(p + 1) * dn] for p in range(dl * dm))
     _coupling_verify(M, lmod, mmod, nmod)
     return M

@@ -1,11 +1,14 @@
 """Symmetric-group modules: tableaux, characters, couplings, and the
 quadratic relation between projections of a tensor square."""
 
+import hashlib
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binform import seeding, symgroup
 from binform.symgroup import (
@@ -132,6 +135,11 @@ class TestStandardTableaux:
                 col = [row[c] for row in t.rows if len(row) > c]
                 assert col == sorted(col)
 
+    def test_long_row_and_column_do_not_recurse(self):
+        assert [t.rows for t in standard_tableaux((1500,))] == [(tuple(range(1, 1501)),)]
+        assert [t.rows for t in standard_tableaux((1,) * 1500)] == \
+            [tuple((k,) for k in range(1, 1501))]
+
 
 class TestGeneratorMatrices:
     def test_full_row_shape_is_trivial(self):
@@ -168,6 +176,15 @@ class TestGeneratorMatrices:
         with pytest.raises(ValueError, match="does not match"):
             rep_matrix((3, 1), (1, 2, 3))
 
+    def test_expansion_outside_span_rejected(self):
+        # (2, 1) has three column tabloids but a two-dimensional span, which
+        # contains no single tabloid
+        mod = _module((2, 1))
+        assert len(mod._keys) == 3
+        for idx in range(3):
+            with pytest.raises(ArithmeticError, match="expansion left the standard span"):
+                mod._solve({idx: 1})
+
 
 class TestMultiplicity:
     def test_pinned_values(self):
@@ -196,6 +213,38 @@ class TestMultiplicity:
             multiplicity((3, 1), (2, 2), (3, 2))
 
 
+def _fraction_rref(rows, ncols):
+    """Oracle: Gauss-Jordan over Fraction, returning the reduced rows and
+    the pivot columns."""
+    work = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][j] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        work[r] = [v / work[r][j] for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][j] != 0:
+                f = work[i][j]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(j)
+    return work, pivots
+
+
+def _fraction_nullspace(rows, ncols):
+    work, pivots = _fraction_rref(rows, ncols)
+    basis = []
+    for fj in (j for j in range(ncols) if j not in pivots):
+        vec = [F(0)] * ncols
+        vec[fj] = F(1)
+        for row_idx, pj in enumerate(pivots):
+            vec[pj] = -work[row_idx][fj]
+        basis.append(vec)
+    return basis
+
+
 def _nullspace_coupling(lam, mu, nu):
     """Oracle: solve the intertwining equations directly as one dense
     nullspace problem over the unknown matrix entries."""
@@ -216,7 +265,7 @@ def _nullspace_coupling(lam, mu, nu):
                     for t in range(dn):
                         row[(il * dm + im) * dn + t] -= qn[t][k]
                     rows.append(row)
-    kernel = _kernel_basis(rows, nunk)
+    kernel = _fraction_nullspace(rows, nunk)
     assert len(kernel) == 1
     vec = kernel[0]
     den = 1
@@ -231,6 +280,48 @@ def _nullspace_coupling(lam, mu, nu):
     if first < 0:
         ints = [-v for v in ints]
     return tuple(tuple(ints[p * dn + k] for k in range(dn)) for p in range(dl * dm))
+
+
+_entries = st.one_of(st.integers(min_value=-4, max_value=4),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=7))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * ncols)
+    return rows, ncols
+
+
+class TestKernelBasis:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    @example(([], 3))
+    @example(([[0, 0], [0, 0], [0, 0]], 2))
+    @example(([[1, 0], [0, F(1, 2)], [3, -1], [1, 0]], 2))
+    @example(([[2, 4, 6], [F(1, 3), F(2, 3), 1]], 3))
+    def test_primitive_integer_kernel_of_oracle_dimension(self, case):
+        rows, ncols = case
+        kernel = _kernel_basis(rows, ncols)
+        _, pivots = _fraction_rref(rows, ncols)
+        assert len(kernel) == ncols - len(pivots)
+        for vec in kernel:
+            assert len(vec) == ncols
+            assert all(type(v) is int for v in vec)
+            g = 0
+            for v in vec:
+                g = gcd(g, v)
+            assert g == 1
+            for row in rows:
+                assert sum(F(a) * b for a, b in zip(row, vec)) == 0
+        # the vectors are independent: together with the rows they reach
+        # full rank
+        _, joint = _fraction_rref(list(rows) + kernel, ncols)
+        assert len(joint) == ncols
 
 
 class TestProjectionMatrix:
@@ -307,6 +398,27 @@ class TestProjectionMatrix:
             for i in range(n * n):
                 for j in range(n * n):
                     assert col[i] * vec[j] == col[j] * vec[i]
+
+
+# sha256 of every generator matrix up to degree 7 and of the fifteen
+# relation couplings at degrees 5-7
+_OUTPUT_DIGEST = "8a6506de9dddfa82472112732f94d89e44a24f12db97785c89812f8535debf03"
+
+
+def test_generator_matrices_and_relation_couplings_pinned():
+    gens = []
+    for d in range(1, 8):
+        for sh in partitions(d):
+            s, c = generator_matrices(sh)
+            gens.append((sh, s.entries, c.entries))
+    cpl = []
+    for d in (5, 6, 7):
+        std, two, triv = (d - 1, 1), (d - 2, 2), (d,)
+        for trip in ((std, std, std), (std, std, two), (std, std, triv),
+                     (std, two, std), (two, two, std)):
+            cpl.append(projection_matrix(*trip).entries)
+    digest = hashlib.sha256(repr((gens, cpl)).encode()).hexdigest()
+    assert digest == _OUTPUT_DIGEST
 
 
 class TestS5Relation:
