@@ -172,7 +172,7 @@ def _arrays_upto(tmax: int) -> List[tuple]:
 
 
 def _mk_array(tw) -> NineJArray:
-    return NineJArray([[Fraction(v, 2) for v in row] for row in tw])
+    return NineJArray._of_twice(tw)
 
 
 def _random_array(rng, tmax: int, triads, tset, by_pair) -> tuple:
@@ -199,19 +199,15 @@ def check_ninej_routes(seed: int, trials: int) -> CheckOutcome:
             return False, "routes agree, symmetry holds", f"route mismatch at {tw}"
         values[tw] = v
 
-    def key(arr: NineJArray) -> tuple:
-        tw = arr.twice_rows()
-        return (tuple(tw[0]), tuple(tw[1]), tuple(tw[2]))
-
     for tw in small:
         arr = _mk_array(tw)
         v = values[tw]
         sg = -1 if (arr.entry_sum_twice() // 2) % 2 else 1
         checksum = (
-            (values[key(arr.transpose())], v),
-            (values[key(arr.permute((1, 0, 2), (0, 1, 2)))], sg * v),
-            (values[key(arr.permute((0, 1, 2), (0, 2, 1)))], sg * v),
-            (values[key(arr.permute((1, 2, 0), (0, 1, 2)))], v),
+            (values[arr.transpose().twice_rows()], v),
+            (values[arr.permute((1, 0, 2), (0, 1, 2)).twice_rows()], sg * v),
+            (values[arr.permute((0, 1, 2), (0, 2, 1)).twice_rows()], sg * v),
+            (values[arr.permute((1, 2, 0), (0, 1, 2)).twice_rows()], v),
         )
         for got, want in checksum:
             if got != want:

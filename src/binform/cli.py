@@ -213,8 +213,27 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
+# Caps on twice-entries (2j and 2|m|) of the recoupling commands.  At each
+# cap the costliest inputs found take about 1 s per command, start-up
+# included, on 2 shared cores with Python 3.11: `threej --j 400,400,400
+# --m 400,-400,0` 0.98 s, `sixj` with every entry 64 0.89 s, and `ninej`
+# on {20 20 20; 20 20 20; 20 20 0} by both routes 0.98 s.  The cost grows
+# about as the fourth power of the entries: threej(1000, 1000, 1000, 0, 0, 0)
+# takes 25 s.
+_MAX_THREEJ_TWICE = 800
+_MAX_SIXJ_TWICE = 128
+_MAX_NINEJ_TWICE = 40
+
+
+def _require_cap(entries: Sequence[Fraction], cap: int, flag: str) -> None:
+    if any(abs(2 * v) > cap for v in entries):
+        raise ValueError(f"{flag}: entries are limited to {cap}/2 in absolute value")
+
+
 def _cmd_ninej(args) -> int:
-    arr = NineJArray([_parse_rationals(row, "--array") for row in args.array.split(";")])
+    rows = [_parse_rationals(row, "--array") for row in args.array.split(";")]
+    _require_cap([v for row in rows for v in row], _MAX_NINEJ_TWICE, "--array")
+    arr = NineJArray(rows)
     values = {}
     if args.method in ("operator", "both"):
         values["operator"] = ninej_operator(arr)
@@ -237,6 +256,7 @@ def _cmd_threej(args) -> int:
     for flag, entries in (("--j", js), ("--m", ms)):
         if len(entries) != 3:
             raise ValueError(f"threej expects exactly 3 entries in {flag}, got {len(entries)}")
+        _require_cap(entries, _MAX_THREEJ_TWICE, flag)
     j1, j2, j = js
     m1, m2, m = ms
     v = threej(j1, j2, j, m1, m2, m)
@@ -250,6 +270,7 @@ def _cmd_sixj(args) -> int:
     js = _parse_rationals(args.js, "--js")
     if len(js) != 6:
         raise ValueError("sixj expects exactly 6 entries")
+    _require_cap(js, _MAX_SIXJ_TWICE, "--js")
     v = sixj(js)
     _emit({"js": [str(x) for x in js], "value": str(v)}, [str(v)],
           args.format, args.out)
@@ -402,6 +423,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse reads an option given as a lone "--" (--A=--) as []
+        for name, value in vars(args).items():
+            if value == []:
+                raise ValueError(f"--{name} expects one value, got '--'")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import seeding
 from .polycore import MultiForm, add, exact_divide, mul, negate, scale
 from .transvectant import BinaryForm, random_binary_form, transvect
-from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain, _sieve
+from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain, _prime_list
 
 LatticePoint = Tuple[int, int]
 
@@ -256,7 +256,7 @@ def _sample_pair(m: int, n: int, seed: int, trial: int, symbolic: bool):
         return hit
     if symbolic:
         count, limit = m + n + 2, 16
-        while len(primes := _sieve(limit)) < count:
+        while len(primes := _prime_list(limit)) < count:
             limit *= 2
         A = BinaryForm.from_coeffs(primes[: m + 1])
         B = BinaryForm.from_coeffs(primes[m + 1: count])

@@ -20,17 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from functools import lru_cache
+from math import comb, factorial, gcd, isqrt, perm
+from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polycore import (
-    PAIR_NAMES,
-    _raw_bracket_power,
-    _raw_mul,
-    _raw_omega_power,
-    _raw_polarize,
-    _raw_substitute,
-)
+from .polycore import PAIR_NAMES
 from .transvectant import factor_h
 
 HalfIntLike = Union["HalfInt", int, str, Fraction]
@@ -70,12 +65,15 @@ def _signed_twice(value: HalfIntLike) -> int:
     if isinstance(value, Fraction):
         if value.denominator not in (1, 2):
             raise ValueError(f"not a half-integer: {value}")
-        return int(value * 2)
+        return value.numerator * (2 // value.denominator)
     raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
 def _twice(value: HalfIntLike) -> int:
-    return HalfInt.of(value).twice
+    twice = _signed_twice(value)
+    if twice < 0:
+        raise ValueError(f"not a nonnegative half-integer: {twice}/2")
+    return twice
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +161,21 @@ def _sieve(limit: int) -> List[int]:
     return [p for p in range(2, limit + 1) if flags[p]]
 
 
+# every prime up to _prime_limit; sieved again, to at least twice the limit,
+# only when a caller needs a larger prime
+_primes: List[int] = []
+_prime_limit = 1
+
+
+def _prime_list(limit: int) -> List[int]:
+    """The ascending primes, holding at least every prime <= limit."""
+    global _primes, _prime_limit
+    if limit > _prime_limit:
+        _prime_limit = max(limit, 2 * _prime_limit)
+        _primes = _sieve(_prime_limit)
+    return _primes
+
+
 def _legendre(n: int, p: int) -> int:
     total = 0
     pk = p
@@ -172,6 +185,19 @@ def _legendre(n: int, p: int) -> int:
     return total
 
 
+# entries are short tuples (one int per prime <= n); the bound keeps huge
+# arguments from pinning memory
+@lru_cache(maxsize=1024)
+def _factorial_exponents(n: int) -> Tuple[int, ...]:
+    """The exponent of each prime p <= n in n!, in prime order."""
+    out = []
+    for p in _prime_list(n):
+        if p > n:
+            break
+        out.append(_legendre(n, p))
+    return tuple(out)
+
+
 def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int]) -> QuadraticSurd:
     """Exactly sqrt(prod(a! for a in numerators) / prod(b!))."""
     nums = list(numerators)
@@ -179,17 +205,21 @@ def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int])
     for v in nums + dens:
         if v < 0:
             raise ValueError(f"negative factorial argument {v}")
-    top = max(nums + dens, default=0)
+    exps = [0] * len(_factorial_exponents(max(nums + dens, default=0)))
+    for op, args in ((add, nums), (sub, dens)):
+        for v in args:
+            vec = _factorial_exponents(v)
+            exps[: len(vec)] = map(op, exps, vec)
     cnum, cden, rad = 1, 1, 1
-    for p in _sieve(top):
-        e = sum(_legendre(v, p) for v in nums) - sum(_legendre(v, p) for v in dens)
-        half, rem = e // 2, e - 2 * (e // 2)
-        if half >= 0:
-            cnum *= p ** half
-        else:
-            cden *= p ** (-half)
-        if rem:
-            rad *= p
+    for p, e in zip(_primes, exps):
+        if e:
+            half = e >> 1
+            if half >= 0:
+                cnum *= p ** half
+            else:
+                cden *= p ** -half
+            if e & 1:
+                rad *= p
     return QuadraticSurd(Fraction(cnum, cden), rad)
 
 
@@ -241,45 +271,144 @@ def _require_triad(j1: int, j2: int, j: int, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the recoupling-tree engine: raw dicts as in polycore, twice-values j
+# the recoupling-tree engine: packed exponent keys, twice-values j
 # ---------------------------------------------------------------------------
+#
+# A chain's forms are dicts from packed keys to int coefficients.  A key
+# holds one exponent per slot (pair k has slots 2k and 2k+1) in a field of
+# w bits, slot s at bit s*w, so a product of monomials is one integer
+# addition (Monagan & Pearce, "Polynomial Division Using Dynamic Arrays,
+# Heaps, and Packed Exponent Vectors", CASC 2007).  Every exponent in a
+# chain is at most the order of its pair, one of the chain's twice-entries;
+# with w = (largest twice-entry).bit_length() no field carries into the
+# next.  polycore's kernels keep tuple keys for MultiForm: packing at that
+# boundary cost more than it saved.
 
-_WIDTH = 2 * len(PAIR_NAMES)
+
+def _width(*entries: int) -> int:
+    """The field width of a chain whose pair orders are among entries."""
+    return max(entries).bit_length()
 
 
-def _slot(name: str) -> int:
-    return 2 * PAIR_NAMES.index(name)
+def _offsets(w: int, name: str) -> Tuple[int, int]:
+    """The bit offsets of pair name's two exponent fields."""
+    s = 2 * PAIR_NAMES.index(name) * w
+    return s, s + w
 
 
-def _key(**exps: Tuple[int, int]) -> tuple:
-    """Exponent key with the given (e1, e2) per pair name, zero elsewhere."""
-    key = [0] * _WIDTH
+def _key(w: int, **exps: Tuple[int, int]) -> int:
+    """Packed key with the given (e1, e2) per pair name, zero elsewhere."""
+    key = 0
     for name, (e1, e2) in exps.items():
-        s = _slot(name)
-        key[s] = e1
-        key[s + 1] = e2
-    return tuple(key)
+        o1, o2 = _offsets(w, name)
+        key += (e1 << o1) + (e2 << o2)
+    return key
 
 
-def _split(t: dict, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
+def _mul(t1: dict, t2: dict) -> dict:
+    out: dict = {}
+    get = out.get
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            key = k1 + k2
+            nc = get(key, 0) + c1 * c2
+            if nc:
+                out[key] = nc
+            else:
+                del out[key]
+    return out
+
+
+def _bracket_power(w: int, a: str, b: str, r: int) -> dict:
+    # (ab)^r = sum_k (-1)^k C(r,k) a1^(r-k) a2^k b1^k b2^(r-k)
+    (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
+    return {((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2):
+            -comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)}
+
+
+def _polarize(t: dict, w: int, src: str, dst: str, ell: int) -> dict:
+    # (dst . d/dsrc)^ell = sum_k C(ell,k) dst1^k dst2^(ell-k) dsrc1^k dsrc2^(ell-k)
+    if ell == 0:
+        return t
+    (s1, s2), (d1, d2) = _offsets(w, src), _offsets(w, dst)
+    mask = (1 << w) - 1
+    binoms = [comb(ell, k) for k in range(ell + 1)]
+    moves = [(k << d1) - (k << s1) + ((ell - k) << d2) - ((ell - k) << s2)
+             for k in range(ell + 1)]
+    out: dict = {}
+    get = out.get
+    for key, c in t.items():
+        e1, e2 = key >> s1 & mask, key >> s2 & mask
+        for k in range(max(0, ell - e2), min(ell, e1) + 1):
+            nk = key + moves[k]
+            nc = get(nk, 0) + c * binoms[k] * perm(e1, k) * perm(e2, ell - k)
+            if nc:
+                out[nk] = nc
+            else:
+                del out[nk]
+    return out
+
+
+def _omega_power(t: dict, w: int, a: str, b: str, r: int) -> dict:
+    # omega = d/da1 d/db2 - d/da2 d/db1, expanded to the r-th power in one
+    # pass: sum_k (-1)^k C(r,k) da1^(r-k) da2^k db1^k db2^(r-k)
+    if r == 0:
+        return t
+    (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
+    mask = (1 << w) - 1
+    binoms = [-comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)]
+    moves = [((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2) for k in range(r + 1)]
+    out: dict = {}
+    get = out.get
+    for key, c in t.items():
+        ea1, ea2 = key >> a1 & mask, key >> a2 & mask
+        eb1, eb2 = key >> b1 & mask, key >> b2 & mask
+        for k in range(max(0, r - ea1, r - eb2), min(r, ea2, eb1) + 1):
+            i = r - k
+            nk = key - moves[k]
+            nc = get(nk, 0) + (c * binoms[k] * perm(ea1, i) * perm(ea2, k)
+                               * perm(eb1, k) * perm(eb2, i))
+            if nc:
+                out[nk] = nc
+            else:
+                del out[nk]
+    return out
+
+
+def _substitute(t: dict, w: int, src: str, dst: str) -> dict:
+    # merge pair src into pair dst, zeroing the src fields
+    (s1, s2), (d1, d2) = _offsets(w, src), _offsets(w, dst)
+    mask = (1 << w) - 1
+    m1, m2 = (1 << d1) - (1 << s1), (1 << d2) - (1 << s2)
+    out: dict = {}
+    get = out.get
+    for key, c in t.items():
+        nk = key + (key >> s1 & mask) * m1 + (key >> s2 & mask) * m2
+        nc = get(nk, 0) + c
+        if nc:
+            out[nk] = nc
+        else:
+            del out[nk]
+    return out
+
+
+def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
     """Split pair src, of order j, into pairs a and b of orders ja and jb."""
-    ssrc, sa, sb = _slot(src), _slot(a), _slot(b)
-    t = _raw_polarize(t, ssrc, sa, (ja + j - jb) // 2)
-    t = _raw_polarize(t, ssrc, sb, (jb + j - ja) // 2)
+    t = _polarize(t, w, src, a, (ja + j - jb) // 2)
+    t = _polarize(t, w, src, b, (jb + j - ja) // 2)
     r = (ja + jb - j) // 2
-    return _raw_mul(t, _raw_bracket_power(_WIDTH, sa, sb, r)) if r else t
+    return _mul(t, _bracket_power(w, a, b, r)) if r else t
 
 
-def _merge(t: dict, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
+def _merge(t: dict, w: int, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
     """Couple pairs a and b, of orders ja and jb, to order jab in pair dst."""
-    sa, sb, sdst = _slot(a), _slot(b), _slot(dst)
-    t = _raw_omega_power(t, sa, sb, (ja + jb - jab) // 2)
-    return _raw_substitute(_raw_substitute(t, sa, sdst), sb, sdst)
+    t = _omega_power(t, w, a, b, (ja + jb - jab) // 2)
+    return _substitute(_substitute(t, w, a, dst), w, b, dst)
 
 
-def _chain_scalar(t: dict, j: int) -> int:
+def _chain_scalar(t: dict, w: int, j: int) -> int:
     """The scalar c of a chain that must end at c*z1^j; consumes t."""
-    c = t.pop(_key(z=(j, 0)), 0)
+    c = t.pop(_key(w, z=(j, 0)), 0)
     if t:
         raise ValueError("operator chain inconsistent")
     return c
@@ -311,8 +440,9 @@ def _coupling_args(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
 def _coupling(a1: int, a2: int, a: int, b1: int, b2: int, b: int) -> QuadraticSurd:
     if b1 + b2 != b:
         return QuadraticSurd.zero()
-    t = _split({_key(z=((a - b) // 2, (a + b) // 2)): 1}, "z", "x", "y", a1, a2, a)
-    key = _key(x=((a1 - b1) // 2, (a1 + b1) // 2), y=((a2 - b2) // 2, (a2 + b2) // 2))
+    w = _width(a1, a2, a)
+    t = _split({_key(w, z=((a - b) // 2, (a + b) // 2)): 1}, w, "z", "x", "y", a1, a2, a)
+    key = _key(w, x=((a1 - b1) // 2, (a1 + b1) // 2), y=((a2 - b2) // 2, (a2 + b2) // 2))
     cf = Fraction(t.get(key, 0), factorial(a))
     if cf == 0:
         return QuadraticSurd.zero()
@@ -364,10 +494,11 @@ def sixj(js: Sequence[HalfIntLike]) -> QuadraticSurd:
     _require_triad(j12, j3, J, "(j12, j3, J)")
     _require_triad(j1, j23, J, "(j1, j23, J)")
 
-    t = _split({_key(z=(J, 0)): 1}, "z", "u", "y", j1, j23, J)
-    t = _split(t, "y", "v", "w", j2, j3, j23)
-    t = _merge(t, "u", "v", "x", j1, j2, j12)
-    alpha = _chain_scalar(_merge(t, "x", "w", "z", j12, j3, J), J)
+    w = _width(j1, j2, j12, j3, J, j23)
+    t = _split({_key(w, z=(J, 0)): 1}, w, "z", "u", "y", j1, j23, J)
+    t = _split(t, w, "y", "v", "w", j2, j3, j23)
+    t = _merge(t, w, "u", "v", "x", j1, j2, j12)
+    alpha = _chain_scalar(_merge(t, w, "x", "w", "z", j12, j3, J), w, J)
 
     h = lambda *v: [x // 2 for x in v]  # noqa: E731  twice-values to integers
     p1 = h(j1 + j12 - j2, j2 + j12 - j1, j12 + J - j3, j3 + J - j12)
@@ -384,44 +515,57 @@ def sixj(js: Sequence[HalfIntLike]) -> QuadraticSurd:
 
 
 class NineJArray:
-    """3x3 array of half-integers whose rows and columns are all triads."""
+    """3x3 array of half-integers whose rows and columns are all triads,
+    held as twice-values; HalfInt appears only in `rows` and `str`."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("_tw",)
 
     def __init__(self, rows: Sequence[Sequence[HalfIntLike]]):
-        grid = tuple(tuple(HalfInt.of(v) for v in row) for row in rows)
-        if len(grid) != 3 or any(len(row) != 3 for row in grid):
+        self._set(tuple(tuple(_twice(v) for v in row) for row in rows))
+
+    @classmethod
+    def _of_twice(cls, tw: Sequence[Sequence[int]]) -> "NineJArray":
+        """The array of nonnegative twice-values tw, triads still checked."""
+        self = object.__new__(cls)
+        self._set(tuple(map(tuple, tw)))
+        return self
+
+    def _set(self, tw: Tuple[Tuple[int, ...], ...]) -> None:
+        if len(tw) != 3 or any(len(row) != 3 for row in tw):
             raise ValueError("nine entries expected")
-        tw = [[e.twice for e in row] for row in grid]
         for k in range(3):
             _require_triad(tw[k][0], tw[k][1], tw[k][2], f"row {k + 1}")
             _require_triad(tw[0][k], tw[1][k], tw[2][k], f"column {k + 1}")
-        object.__setattr__(self, "rows", grid)
+        self._tw = tw
 
-    def twice_rows(self) -> List[List[int]]:
-        return [[e.twice for e in row] for row in self.rows]
+    @property
+    def rows(self) -> Tuple[Tuple[HalfInt, ...], ...]:
+        return tuple(tuple(HalfInt(v) for v in row) for row in self._tw)
+
+    def twice_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return self._tw
 
     def transpose(self) -> "NineJArray":
-        return NineJArray(list(zip(*self.rows)))
+        return NineJArray._of_twice(zip(*self._tw))
 
     def permute(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "NineJArray":
-        r = self.rows
-        return NineJArray([[r[row_perm[i]][col_perm[k]] for k in range(3)] for i in range(3)])
+        r = self._tw
+        return NineJArray._of_twice([[r[i][k] for k in col_perm] for i in row_perm])
 
     def entry_sum_twice(self) -> int:
-        return sum(e.twice for row in self.rows for e in row)
+        return sum(map(sum, self._tw))
 
     def __eq__(self, other):
-        return isinstance(other, NineJArray) and self.rows == other.rows
+        return isinstance(other, NineJArray) and self._tw == other._tw
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._tw)
 
     def __str__(self):
         return "; ".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
-def _ninej_q_lists(tw: List[List[int]]) -> Tuple[List[int], List[int], List[int]]:
+def _ninej_q_lists(tw: Sequence[Sequence[int]]) -> Tuple[List[int], List[int], List[int]]:
     (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
     h = lambda *v: [x // 2 for x in v]  # noqa: E731
     q1 = h(j1 + j12 - j2, j2 + j12 - j1, j3 + j34 - j4,
@@ -438,12 +582,13 @@ def _ninej_chain(tw: Sequence[Sequence[int]]) -> int:
     """The scalar by which the 9-j recoupling chain multiplies z1^(2J),
     for the array of twice-values tw."""
     (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-    t = _split({_key(z=(J, 0)): 1}, "z", "x", "y", j13, j24, J)
-    t = _split(t, "x", "p", "q", j1, j3, j13)
-    t = _split(t, "y", "u", "v", j2, j4, j24)
-    t = _merge(t, "p", "u", "x", j1, j2, j12)
-    t = _merge(t, "q", "v", "y", j3, j4, j34)
-    return _chain_scalar(_merge(t, "x", "y", "z", j12, j34, J), J)
+    w = _width(j1, j2, j12, j3, j4, j34, j13, j24, J)
+    t = _split({_key(w, z=(J, 0)): 1}, w, "z", "x", "y", j13, j24, J)
+    t = _split(t, w, "x", "p", "q", j1, j3, j13)
+    t = _split(t, w, "y", "u", "v", j2, j4, j24)
+    t = _merge(t, w, "p", "u", "x", j1, j2, j12)
+    t = _merge(t, w, "q", "v", "y", j3, j4, j34)
+    return _chain_scalar(_merge(t, w, "x", "y", "z", j12, j34, J), w, J)
 
 
 def ninej_operator(arr: NineJArray) -> QuadraticSurd:
@@ -455,7 +600,7 @@ def ninej_operator(arr: NineJArray) -> QuadraticSurd:
     return (Fraction((J + 1) * beta)) * sqrt_factorial_ratio(q1, q2 + q3)
 
 
-def _triple_sum_params(tw: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
+def _triple_sum_params(tw: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
     """The shifts (x1..x5), (y1..y5), (z1..z5), (p1, p2, p3) of the triple sum."""
     (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
     x1 = j34
@@ -498,19 +643,44 @@ def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
     params = _triple_sum_params(tw)
     (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3) = params
 
+    # Each term is (-1)^(x+y+z) num/den with num and den products of
+    # factorials.  Over one common denominator, the product of the 13
+    # denominator factorials each at its largest argument M over the
+    # lattice, a term is the int num * prod(M!/arg!), and M!/arg! is
+    # perm(M, M - arg).  The factors in x, y or z alone are made once.
+    lattice = list(_triple_sum_lattice(params))
+    if not lattice:
+        return QuadraticSurd.zero()
+    xs = [x for x, _, _, _ in lattice]
+    ys = [y for _, y, _, _ in lattice]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    z_lo = min(lo for _, _, lo, _ in lattice)
+    z_hi = max(hi for _, _, _, hi in lattice)
+    mxy = p2 + max(x + y for x, y, _, _ in lattice)
+    mxz = p3 + max(x + hi for x, _, _, hi in lattice)
+    den = 1
+    for m in (x_hi, x4 - x_lo, x5 - x_lo, y_hi, y3 + y_hi, y4 - y_lo, y5 - y_lo,
+              z_hi, z3 - z_lo, z4 - z_lo, z5 - z_lo, mxy, mxz):
+        den *= factorial(m)
+
     f = factorial
-    total = Fraction(0)
-    for x, y, z_lo, z_hi in _triple_sum_lattice(params):
-        for z in range(z_lo, z_hi + 1):
-            num = (f(x1 - x) * f(x2 + x) * f(x3 + x) * f(y1 + y) * f(y2 + y)
-                   * f(z1 - z) * f(z2 + z) * f(p1 - y - z))
-            den = (f(x) * f(y) * f(z) * f(x4 - x) * f(x5 - x) * f(y3 + y)
-                   * f(y4 - y) * f(y5 - y) * f(z3 - z) * f(z4 - z) * f(z5 - z)
-                   * f(p2 + x + y) * f(p3 + x + z))
-            term = Fraction(num, den)
-            total += -term if (x + y + z) % 2 else term
+    wx = {x: (-1) ** x * f(x1 - x) * f(x2 + x) * f(x3 + x) * perm(x_hi, x_hi - x)
+          * perm(x4 - x_lo, x - x_lo) * perm(x5 - x_lo, x - x_lo)
+          for x in range(x_lo, x_hi + 1)}
+    wy = {y: (-1) ** y * f(y1 + y) * f(y2 + y) * perm(y_hi, y_hi - y)
+          * perm(y3 + y_hi, y_hi - y) * perm(y4 - y_lo, y - y_lo) * perm(y5 - y_lo, y - y_lo)
+          for y in range(y_lo, y_hi + 1)}
+    wz = {z: (-1) ** z * f(z1 - z) * f(z2 + z) * perm(z_hi, z_hi - z)
+          * perm(z3 - z_lo, z - z_lo) * perm(z4 - z_lo, z - z_lo) * perm(z5 - z_lo, z - z_lo)
+          for z in range(z_lo, z_hi + 1)}
+    total = 0
+    for x, y, lo, hi in lattice:
+        inner = sum(wz[z] * f(p1 - y - z) * perm(mxz, mxz - p3 - x - z)
+                    for z in range(lo, hi + 1))
+        total += wx[x] * wy[y] * perm(mxy, mxy - p2 - x - y) * inner
     if total == 0:
         return QuadraticSurd.zero()
+    total = Fraction(total, den)
 
     def bracket(a, b, c, invert):
         # [a,b,c] = sqrt((a-b+c)!(a+b-c)!(a+b+c+1)!/(-a+b+c)!), args twice-values
@@ -605,7 +775,7 @@ def kappa_ninej_arrays(m: int, n: int, r: int, i: int, j: int,
     the net permutation leaves the value unchanged)."""
     a, b = p
     rows = _kappa_twice_rows(m, n, r, i, j, a, b)
-    base = NineJArray([[HalfInt(v) for v in row] for row in rows])
+    base = NineJArray._of_twice(rows)
     swapped = base.permute((0, 2, 1), (2, 1, 0)).transpose()
     return base, swapped
 

@@ -284,6 +284,35 @@ class TestMainInProcess:
         assert main(["sym", "tableaux", "--shape", "9,9,9"]) == 2
         assert "--shape" in capsys.readouterr().err
 
+    def test_lone_double_dash_value_exit_two(self, capsys):
+        for argv, flag in ((["threej", "--j=--", "--m", "0 0 0"], "--j"),
+                           (["transvect", "--m=--", "--n", "2", "--r", "1",
+                             "--A", "1 0 1", "--B", "0 1 0"], "--m")):
+            assert main(argv) == 2
+            assert f"{flag} expects one value" in capsys.readouterr().err
+
+    def test_recoupling_entries_over_the_cap_exit_two(self, capsys):
+        # without the caps the first of these runs for minutes
+        for argv, flag in (
+            (["threej", "--j", "99999 99999 0", "--m", "0 0 0"], "--j"),
+            (["threej", "--j", "401 401 0", "--m", "0 0 0"], "--j"),
+            (["threej", "--j", "1 1 0", "--m", "0 0 -401"], "--m"),
+            (["sixj", "--js", "65 65 0 65 65 65"], "--js"),
+            (["sixj", "--js", "1 1 1 1 1 129/2"], "--js"),
+            (["ninej", "--array", "41/2 41/2 0; 41/2 41/2 0; 0 0 0"], "--array"),
+        ):
+            assert main(argv) == 2
+            assert f"{flag}: entries are limited to" in capsys.readouterr().err
+
+    def test_recoupling_entries_at_the_cap_run(self, capsys):
+        for argv in (
+            ["threej", "--j", "400 400 0", "--m", "400 -400 0"],
+            ["sixj", "--js", "64 64 0 64 64 64"],
+            ["ninej", "--array", "20 20 0; 20 20 0; 0 0 0"],
+        ):
+            assert main(argv) == 0
+            assert "error" not in capsys.readouterr().err
+
 
 # Every parser that reads free text, with the other flags pinned to small
 # valid values; the text is passed as --flag=TEXT so argparse never reads it
@@ -301,8 +330,8 @@ _FUZZED = {
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4), max_leaves=8)
-# The numeric alphabet is kept to 10 characters: commands have no work
-# limits yet, and a valid 3-j with five-digit entries runs for minutes.
+# The numeric alphabet is kept to 10 characters so that every example stays
+# quick: entries at the recoupling commands' caps still take about 1 s.
 _flag_text = st.one_of(
     st.text(),
     st.text(alphabet="0123456789-/., ;{}", max_size=10),
@@ -317,6 +346,7 @@ _flag_text = st.one_of(
 @example(text="1/0")
 @example(text="1 0 1/0")
 @example(text="999")
+@example(text="--")
 @example(text='{"coeffs": [1e400], "order": 0}')
 def test_parsers_exit_zero_or_two(flag, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -1,14 +1,17 @@
 """Recoupling coefficients, 6-j and 9-j symbols, and the 9-j route to kappa."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binform.syzygy import kappa, pi_set
+from binform import wigner
+from binform.syzygy import kappa, kappa_oracle, pi_set
 from binform.wigner import (
     HalfInt,
     NineJArray,
@@ -428,3 +431,132 @@ class TestKappaBridge:
             _, rearranged = kappa_ninej_arrays(m, n, r, 0, r, (0, 0))
             assert ninej_support_size(rearranged) == 1
             assert kappa_via_ninej(m, n, r, 0, r, (0, 0)) != 0
+
+
+def _arrays_with_top(top, count, seed):
+    """count random 9-j arrays of twice-values whose largest entry is top."""
+    triads = _triads_upto(top)
+    tset = set(triads)
+    by_pair = {}
+    for (a, b, c) in triads:
+        by_pair.setdefault((a, b), []).append(c)
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r1, r2 = rnd.choice(triads), rnd.choice(triads)
+        opts = [by_pair.get((r1[k], r2[k])) for k in range(3)]
+        if not all(opts):
+            continue
+        r3 = tuple(rnd.choice(o) for o in opts)
+        if r3 in tset and max(r1 + r2 + r3) == top:
+            out.append((r1, r2, r3))
+    return out
+
+
+class TestPackedChainKeys:
+    """The operator chain packs one field of (largest twice-entry).bit_length()
+    bits per exponent; these arrays sit on both sides of a width change."""
+
+    @pytest.mark.parametrize("top", (15, 16, 31, 32))
+    def test_ninej_routes_agree_at_field_boundaries(self, top):
+        arrays = _arrays_with_top(top, 4, top)
+        arrays.append(((top, top, 0), (top, top, 0), (0, 0, 0)))
+        for tw in arrays:
+            arr = NineJArray._of_twice(tw)
+            assert ninej_operator(arr) == ninej_triple_sum(arr), tw
+
+    @pytest.mark.parametrize("top", (63, 64))
+    def test_sixj_matches_oracle_at_field_boundary(self, top):
+        rnd = random.Random(top)
+        cases = []
+        while len(cases) < 4:
+            tjs = [rnd.randint(0, top) for _ in range(6)]
+            tjs[rnd.randrange(6)] = top
+            j1, j2, j12, j3, J, j23 = (F(v, 2) for v in tjs)
+            if (is_triad(j1, j2, j12) and is_triad(j2, j3, j23)
+                    and is_triad(j12, j3, J) and is_triad(j1, j23, J)):
+                cases.append(tjs)
+        for tjs in cases:
+            js = [F(v, 2) for v in tjs]
+            assert sixj(js) == racah_sixj(js), tjs
+
+    def test_corrupted_chain_step_is_caught(self, monkeypatch):
+        # a last merge that leaves its source pairs in place cannot end at z1^(2J)
+        substitute = wigner._substitute
+        monkeypatch.setattr(wigner, "_substitute", lambda t, w, src, dst:
+                            dict(t) if dst == "z" else substitute(t, w, src, dst))
+        with pytest.raises(ValueError, match="operator chain inconsistent"):
+            ninej_operator(_mk([[2, 1, 3], [1, 2, 3], [3, 3, 4]]))
+        with pytest.raises(ValueError, match="operator chain inconsistent"):
+            sixj([1, 1, 1, 1, 1, 1])
+        with pytest.raises(ValueError, match="operator chain inconsistent"):
+            kappa_oracle(5, 3, 3, 0, 1, (0, 0))
+
+
+class TestTwiceIntArray:
+    def test_private_constructor_checks_triads(self):
+        with pytest.raises(ValueError, match="row 1"):
+            NineJArray._of_twice([[1, 1, 3], [1, 1, 1], [1, 1, 1]])
+        with pytest.raises(ValueError, match="column 3"):
+            NineJArray._of_twice([[2, 2, 0], [2, 2, 0], [2, 2, 2]])
+        with pytest.raises(ValueError, match="nine entries"):
+            NineJArray._of_twice([[0, 0, 0], [0, 0, 0]])
+
+    def test_twice_values_and_half_integer_rows(self):
+        arr = NineJArray([["1/2", "1/2", 1], ["1/2", "1/2", 0], [1, 1, 1]])
+        assert arr == NineJArray._of_twice([[1, 1, 2], [1, 1, 0], [2, 2, 2]])
+        assert arr.twice_rows() == ((1, 1, 2), (1, 1, 0), (2, 2, 2))
+        assert arr.rows[0] == (HalfInt(1), HalfInt(1), HalfInt(2))
+        assert arr.entry_sum_twice() == 12
+        assert arr.permute((2, 0, 1), (1, 2, 0)).twice_rows() == \
+            ((2, 2, 2), (1, 2, 1), (1, 0, 1))
+        assert hash(arr.transpose().transpose()) == hash(arr)
+
+
+class TestFactorialRatioPrimes:
+    def test_growing_and_shrinking_arguments(self):
+        # the shared prime list grows past each new top; smaller calls reuse it
+        for nums, dens in (([3], [2]), ([1500], [1499, 7]), ([40, 30], [20]),
+                           ([4001], [3999]), ([0, 1], [])):
+            target = F(1)
+            for x in nums:
+                target *= factorial(x)
+            for x in dens:
+                target /= factorial(x)
+            v = sqrt_factorial_ratio(nums, dens)
+            assert _sq(v) == target and v.coeff > 0
+
+
+def _pin(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    """sha256 of the printed values, computed before the routes were packed
+    into int keys and one-denominator sums."""
+
+    def test_both_ninej_routes_over_small_arrays(self):
+        arrays = _arrays_upto(3)
+        assert len(arrays) == 1616
+        lines = []
+        for tw in arrays:
+            arr = _mk(tw)
+            lines.append(f"{tw} {ninej_operator(arr)} {ninej_triple_sum(arr)}")
+        assert _pin(lines) == "53f1af9b0c364788c912262126f06a0deadb3597e464e63cdc7c423f2e7a5fd3"
+
+    def test_three_kappa_routes_up_to_order_six(self):
+        lines = []
+        for m in range(2, 7):
+            for n in range(2, 7):
+                for r in range(2, min(m, n) + 1):
+                    for p in pi_set(m, n, r):
+                        for i in range(r + 1):
+                            for j in range(r - i + 1):
+                                args = (m, n, r, i, j, p)
+                                lines.append(f"{args} {kappa(*args)} {kappa_oracle(*args)} "
+                                             f"{kappa_via_ninej(*args)}")
+        assert len(lines) == 1135
+        assert _pin(lines) == "af68ee83ad623fa5abaf47ce7ea9d8d5cca49879eb6eb917cdf085924b294afb"
