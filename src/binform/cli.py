@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 from .checks import REGISTRY, SUITES
 from .symgroup import (
+    RELATION_DEGREES,
     check_shape,
     hook_dimension,
     multiplicity,
@@ -282,6 +283,19 @@ def _cmd_sixj(args) -> int:
 _MAX_TABLEAU_BOXES = 100
 _MAX_TABLEAUX = 10_000
 
+# Caps on `sym mult` and `sym projmat`.  At each cap the costliest inputs
+# found take about 1 s per command, start-up included, on 2 shared cores
+# with Python 3.11.  `mult` sums characters over every partition of d: three
+# distinct near-staircase shapes of 29 boxes take 0.7-0.9 s, of 30 boxes
+# 1.2-1.3 s.  `projmat` solves in the tensor space of dimension
+# dim(l) * dim(m) and builds a matrix for every transposition of d:
+# (5,5) x (1^10) -> (2^5), product 42, takes 1.0 s and (4,2,2) x (1^8) ->
+# (3,3,1,1), product 56, 2.6 s; (1^22) x (21,1) -> (2,1^20) takes 0.7-0.9 s
+# and (28,1) x (29) -> (28,1), product 28, 2.5 s.
+_MAX_MULT_BOXES = 29
+_MAX_PROJMAT_BOXES = 22
+_MAX_PROJMAT_DIMS = 42
+
 
 def _cmd_sym(args) -> int:
     if args.action == "tableaux":
@@ -296,12 +310,18 @@ def _cmd_sym(args) -> int:
         return 0
     if args.action in ("mult", "projmat"):
         l, m, n = (_parse_shape(getattr(args, f), f"--{f}") for f in "lmn")
+        boxes = max(map(sum, (l, m, n)))
     if args.action == "mult":
+        if boxes > _MAX_MULT_BOXES:
+            raise ValueError(f"mult takes partitions of at most {_MAX_MULT_BOXES} boxes")
         v = multiplicity(l, m, n)
         _emit({"l": list(l), "m": list(m), "n": list(n), "multiplicity": v},
               [f"multiplicity: {v}"], args.format, args.out)
         return 0
     if args.action == "projmat":
+        if boxes > _MAX_PROJMAT_BOXES or hook_dimension(l) * hook_dimension(m) > _MAX_PROJMAT_DIMS:
+            raise ValueError(f"projmat takes partitions of at most {_MAX_PROJMAT_BOXES} "
+                             f"boxes with dim(l) * dim(m) at most {_MAX_PROJMAT_DIMS}")
         M = projection_matrix(l, m, n)
         payload = {"l": list(l), "m": list(m), "n": list(n),
                    "matrix": _frac_matrix(M.entries)}
@@ -407,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="first partition")
     p.add_argument("--m", help="second partition")
     p.add_argument("--n", help="target partition")
-    p.add_argument("--d", type=int, choices=(5, 6, 7),
+    p.add_argument("--d", type=int, choices=RELATION_DEGREES,
                    help="degree for the relation check")
     p.set_defaults(func=_cmd_sym)
 

@@ -10,20 +10,31 @@ its conjectured analogue for degrees 6 and 7.
 
 All linear algebra is over the integers.  Kernels, ranks and the coupling
 solve share one fraction-free row reduction (_row_reduce) that keeps every
-row primitive; expanding a vector in a module's basis needs no elimination,
-because the basis is unitriangular on the tableaux's own column tabloids
-(see _ColumnSpan).
+row primitive.  A module's matrices enumerate no tabloids: a polytabloid's
+value at a column tabloid has a closed form (0, or a product of column sort
+signs), and the basis is unitriangular on the standard tableaux's own
+column tabloids (Sagan, The Symmetric Group, 2nd ed., section 2.5), so
+coordinates are a forward substitution of those values (see _ColumnSpan).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
 from math import factorial, gcd, lcm
+from operator import attrgetter, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Shape = Tuple[int, ...]
 Perm = Tuple[int, ...]  # perm[k] = image of k + 1, entries 1..d
+
+# Cache bounds, above what `verify --suite all`, the sym-relations benchmark
+# and the d = 8 relation hold (44 modules, 30 matrices per module, 15
+# couplings, 163 characters).  `sym mult` at its cap evicts characters and
+# was timed with this bound.
+_MAX_MODULES = 128
+_MAX_MATRICES = 256
+_MAX_COUPLINGS = 64
+_MAX_CHARACTERS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +180,14 @@ def _identity_matrix(n: int) -> Matrix:
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def _scale_to_int(vec: Sequence[Fraction]) -> List[int]:
     """The primitive integer vector on the ray of a rational or integer vector."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*map(attrgetter("denominator"), vec))
     ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -242,6 +249,23 @@ def _sort_sign(seq: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
+def _polytabloid_value(rows: Sequence[Sequence[int]], col_of: Dict[int, int]) -> int:
+    """The value of e_s, s the tableau with these rows, at the column
+    tabloid whose column of entry x is col_of[x] (see _ColumnSpan)."""
+    # at[r][c]: the entry of row r of s that lies in column c of the tabloid
+    at = []
+    for row in rows:
+        pos = dict(zip(map(col_of.__getitem__, row), row))
+        if len(pos) != len(row) or max(pos) >= len(row):
+            return 0
+        at.append(pos)
+    sign = 1
+    # a column right of the second row's end holds one entry, sign 1
+    for c in range(len(rows[1]) if len(rows) > 1 else 0):
+        sign *= _sort_sign([pos[c] for pos in at if c in pos])
+    return sign
+
+
 # ---------------------------------------------------------------------------
 # the integral representation on signed column tabloids
 # ---------------------------------------------------------------------------
@@ -250,100 +274,77 @@ def _sort_sign(seq: Sequence[int]) -> int:
 class _ColumnSpan:
     """One irreducible representation, realized on signed column tabloids.
 
-    The vector attached to a standard tableau is the sum, over all
-    row-preserving rearrangements, of the rearranged column tabloid taken
-    with the sign that sorts each column increasing.  The basis is indexed
-    by standard tableaux ordered by column reading word; display lists from
-    standard_tableaux use row-reading order, which is the reverse.
+    The polytabloid e_t of a tableau t sums, over the row-preserving
+    rearrangements sigma, the column tabloid of sigma t signed by the sign
+    that sorts its columns; a permutation acts by pi e_t = e_(pi t).  The
+    basis is the standard tableaux in column-reading-word order (the reverse
+    of the row-reading order standard_tableaux lists).
 
-    In this order basis vector j has coefficient 1 at tableau j's own column
-    tabloid and 0 at the own tabloids of all earlier tableaux: the dominance
-    lemma behind the independence of standard polytabloids (Sagan, The
-    Symmetric Group, 2nd ed., section 2.5).  So the integer coefficients of
-    any vector in the span are read off in basis order, subtracting each
-    vector as it is found; whatever is left over lies outside the span.
+    No tabloid is enumerated.  e_s is 0 at a column tabloid T unless each
+    row r of s has one entry in each column c < len(row r) of T; then sigma
+    is unique and the value is the product of the sort signs of the columns
+    of sigma s (_polytabloid_value).  In basis order e_(t_j) is 1 at t_j's
+    own column tabloid and 0 at those of earlier tableaux (Sagan, The
+    Symmetric Group, 2nd ed., section 2.5), so the basis values E at the own
+    tabloids are lower unitriangular, and the coordinates of any e_s are the
+    forward substitution of its own-tabloid values against E.
     """
 
     def __init__(self, shape: Shape):
-        self.shape = shape
         self.d = sum(shape)
         self.tableaux = sorted(standard_tableaux(shape),
                                key=lambda t: t.column_word())
         self.dim = len(self.tableaux)
-        self._key_index: Dict[Tuple[Tuple[int, ...], ...], int] = {}
-        self._columns = [self._basis_vector(t) for t in self.tableaux]
-        self._own = [self._key_index[self._own_key(t)] for t in self.tableaux]
-        self._keys = [None] * len(self._key_index)
-        for k, i in self._key_index.items():
-            self._keys[i] = k
+        # _col_of[k][x]: the column of entry x in tableau k's own tabloid
+        self._col_of = [{x: c for row in t.rows for c, x in enumerate(row)}
+                        for t in self.tableaux]
+        # E[k][j], the value of basis vector j at tableau k's own tabloid,
+        # kept as the nonzero (j, E[k][j]) with j < k
+        E = list(zip(*(self._values(t.rows) for t in self.tableaux)))
+        if any(E[k][k] != 1 or any(E[k][k + 1:]) for k in range(self.dim)):
+            raise ArithmeticError("polytabloid values are not unitriangular")
+        self._lower = [[(j, v) for j, v in enumerate(row[:k]) if v]
+                       for k, row in enumerate(E)]
         self._matrices: Dict[Perm, Matrix] = {}
 
-    @staticmethod
-    def _own_key(t: StandardTableau) -> Tuple[Tuple[int, ...], ...]:
-        # the tableau's own column tabloid; standard columns are sorted
-        return tuple(tuple(row[c] for row in t.rows if len(row) > c)
-                     for c in range(t.shape[0]))
+    def _values(self, rows: Sequence[Sequence[int]]) -> List[int]:
+        """Values of the polytabloid of these rows at the own tabloids."""
+        return [_polytabloid_value(rows, col_of) for col_of in self._col_of]
 
-    def _basis_vector(self, t: StandardTableau) -> Dict[int, int]:
-        cols = self._own_key(t)
-        vec: Dict[int, int] = {}
-        for images in product(*(permutations(row) for row in t.rows)):
-            relabel: Dict[int, int] = {}
-            for row, img in zip(t.rows, images):
-                for a, b in zip(row, img):
-                    relabel[a] = b
-            moved = tuple(tuple(relabel[x] for x in col) for col in cols)
-            sign = 1
-            for col in moved:
-                sign *= _sort_sign(col)
-            key = tuple(tuple(sorted(col)) for col in moved)
-            idx = self._key_index.setdefault(key, len(self._key_index))
-            vec[idx] = vec.get(idx, 0) + sign
-        return {k: v for k, v in vec.items() if v}
+    def _coordinates(self, values: Sequence[int]) -> List[int]:
+        # forward substitution against the lower unitriangular E
+        coeffs: List[int] = []
+        for value, lower in zip(values, self._lower):
+            coeffs.append(value - sum(v * coeffs[j] for j, v in lower))
+        return coeffs
 
-    def _solve(self, target: Dict[int, int]) -> Tuple[int, ...]:
-        # peel basis vectors off in order: each earlier one is already
-        # subtracted when vector j's coefficient is read at its own tabloid
-        residual = dict(target)
-        coeffs = []
-        for own, col in zip(self._own, self._columns):
-            c = residual.get(own, 0)
-            coeffs.append(c)
-            if c:
-                for i, v in col.items():
-                    residual[i] = residual.get(i, 0) - c * v
-        if any(residual.values()):
-            raise ArithmeticError("expansion left the standard span")
-        return tuple(coeffs)
+    def _image(self, perm: Perm) -> Matrix:
+        cols = [self._coordinates(self._values(
+                    [[perm[x - 1] for x in row] for row in t.rows]))
+                for t in self.tableaux]
+        return tuple(zip(*cols))
 
     def matrix(self, perm: Perm) -> Matrix:
-        """Action of the permutation on the basis; columns are images."""
+        """Action of the permutation on the basis; columns are images.  Its
+        product with the inverse permutation's matrix is checked to be 1."""
         if len(perm) != self.d:
             raise ValueError(f"permutation degree {len(perm)} does not match d={self.d}")
         cached = self._matrices.get(perm)
         if cached is not None:
             return cached
-        cols = []
-        for col in self._columns:
-            moved: Dict[int, int] = {}
-            for idx, v in col.items():
-                shuffled = tuple(tuple(perm[x - 1] for x in column)
-                                 for column in self._keys[idx])
-                sign = 1
-                for column in shuffled:
-                    sign *= _sort_sign(column)
-                key = tuple(tuple(sorted(column)) for column in shuffled)
-                nidx = self._key_index.get(key)
-                if nidx is None:
-                    raise ArithmeticError("image tabloid outside the recorded span")
-                moved[nidx] = moved.get(nidx, 0) + sign * v
-            cols.append(self._solve({k: v for k, v in moved.items() if v}))
-        out = tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-        self._matrices[perm] = out
-        return out
+        inv = inverse_perm(perm)
+        q = self._image(perm)
+        q_inv = q if inv == perm else self._image(inv)
+        if _mat_mul(q, q_inv) != _identity_matrix(self.dim):
+            raise ArithmeticError("matrices of a permutation and its inverse are not inverse")
+        while len(self._matrices) >= _MAX_MATRICES - 1:
+            del self._matrices[next(iter(self._matrices))]
+        self._matrices[perm] = q
+        self._matrices[inv] = q_inv
+        return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAX_MODULES)
 def _module(shape: Shape) -> _ColumnSpan:
     return _ColumnSpan(shape)
 
@@ -400,7 +401,7 @@ def generator_matrices(shape: Iterable[int]) -> Tuple[RepMatrix, RepMatrix]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAX_CHARACTERS)
 def character(shape: Shape, cycle_type: Shape) -> int:
     """Irreducible character value by repeated border-strip removal."""
     if sum(shape) != sum(cycle_type):
@@ -522,7 +523,7 @@ def _coupling_verify(M: Matrix, lmod, mmod, nmod) -> None:
                         raise ArithmeticError("coupling is not equivariant")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAX_COUPLINGS)
 def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
     """Integer matrix M of the unique coupling, one row per source basis
     pair (first factor outermost), one column per target coordinate,
@@ -561,31 +562,24 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
         raise ArithmeticError(f"tensor eigenspace dimension {len(vbasis)}")
     w, v = wbasis[0], vbasis[0]
 
-    # transport: grow images of w under group words until they span the target
+    # transport: close the span of w under s and c, carrying v along.  Only
+    # the images of kept vectors are tried: once every kept vector's images
+    # lie in the span, the span is invariant, so it is the whole target.
     s, c = transposition_perm(d), cycle_perm(d)
     wcols, ucols = [w], [v]
-    frontier = [(w, v)]
+    tried = 0
     while len(wcols) < dn:
-        newfrontier = []
-        progressed = False
-        for wx, ux in frontier:
-            for g in (s, c):
-                qn = nmod.matrix(g)
-                nw = [sum(qn[r][cc] * wx[cc] for cc in range(dn) if wx[cc])
-                      for r in range(dn)]
-                nu_vec = _tensor_apply(lmod.matrix(g), mmod.matrix(g), ux)
-                if len(_row_reduce(wcols + [nw], dn)) > len(wcols):
-                    wcols.append(nw)
-                    ucols.append(nu_vec)
-                    progressed = True
-                newfrontier.append((nw, nu_vec))
-                if len(wcols) == dn:
-                    break
-            if len(wcols) == dn:
-                break
-        frontier = newfrontier
-        if not progressed and len(wcols) < dn:
+        if tried == len(wcols):
             raise ArithmeticError("transport failed to span the target")
+        wx, ux = wcols[tried], ucols[tried]
+        tried += 1
+        for g in (s, c):
+            qn = nmod.matrix(g)
+            nw = [sum(qn[r][cc] * wx[cc] for cc in range(dn) if wx[cc])
+                  for r in range(dn)]
+            if len(wcols) < dn and len(_row_reduce(wcols + [nw], dn)) > len(wcols):
+                wcols.append(nw)
+                ucols.append(_tensor_apply(lmod.matrix(g), mmod.matrix(g), ux))
 
     # M W = U with W, U the matrices of columns wcols, ucols: reducing the
     # rows of [W^T | U^T] leaves a_k e_k on the left and a_k times column k
@@ -643,6 +637,10 @@ _COUPLING_NAMES = (
 _S5_BASIS_SIGNS = ((1, -1, 1, 1), (1, 1, 1, 1, 1))
 
 FiveMaps = Tuple[Sequence[Sequence], ...]
+
+
+# the degrees test_conjecture accepts; degree 9 runs but takes about 20-30 s
+RELATION_DEGREES = (5, 6, 7, 8)
 
 
 def _relation_shapes(d: int) -> Tuple[Shape, Shape, Shape]:
@@ -735,7 +733,7 @@ def _residual_vanishes(rows: Sequence[Tuple], coeffs: Sequence[int]) -> bool:
     return all(sum(cv * rv for cv, rv in zip(c, row)) == 0 for row in rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _matched_s5_system() -> Tuple:
     """The d=5 system in the anchored scaling, on the canonical bases
     changed by the stated signs _S5_BASIS_SIGNS.
@@ -853,8 +851,8 @@ def test_conjecture(d: int) -> ConjectureReport:
     with nonzero final coefficient, found by exact linear algebra over the
     basis-pair residuals.  Degree 5 runs through the same solving path with
     the anchored scalings, reproducing (32, 100, 25, -180)."""
-    if d not in (5, 6, 7):
-        raise ValueError("degree must be 5, 6, or 7")
+    if d not in RELATION_DEGREES:
+        raise ValueError("degree must be 5, 6, 7, or 8")
     std, two, _ = _relation_shapes(d)
     coupling_mult = multiplicity(two, two, std)
     wedge = (d - 2, 1, 1)
@@ -877,8 +875,8 @@ def test_conjecture(d: int) -> ConjectureReport:
 def relation_residual_vanishes(d: int, coefficients: Sequence[int]) -> bool:
     """Whether the four-term combination with these coefficients vanishes on
     every basis pair, in the same scaling test_conjecture uses for d."""
-    if d not in (5, 6, 7):
-        raise ValueError("degree must be 5, 6, or 7")
+    if d not in RELATION_DEGREES:
+        raise ValueError("degree must be 5, 6, 7, or 8")
     if d == 5:
         rows = _matched_s5_system()[0]
     else:

@@ -11,12 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binform.checks import REGISTRY, SUITES
-from binform.cli import main, run_suite
+from binform.cli import _build_parser, main, run_suite
 
 
 def _run(*argv):
     return subprocess.run([sys.executable, "-m", "binform.cli", *argv],
                           capture_output=True, text=True)
+
+
+def _ones(k: int) -> str:
+    """The one-column partition of k, as a --l/--m/--n value."""
+    return ",".join(["1"] * k)
 
 
 def _strip_elapsed(report: dict) -> dict:
@@ -283,6 +288,39 @@ class TestMainInProcess:
         assert main(["sym", "tableaux", "--shape", "999"]) == 2
         assert main(["sym", "tableaux", "--shape", "9,9,9"]) == 2
         assert "--shape" in capsys.readouterr().err
+
+    def test_sym_input_over_the_caps_exit_two(self, capsys):
+        # without the caps the projmat inputs run for over a minute each
+        for argv, message in (
+            (["sym", "mult", "--l", "50", "--m", "50", "--n", "49,1"], "mult takes"),
+            (["sym", "mult", "--l", "9,6,5,4,3,2,1", "--m", "7,6,5,4,3,2,2,1",
+              "--n", "6,5,5,4,3,3,2,1,1"], "mult takes"),
+            (["sym", "projmat", "--l", "9,1", "--m", "9,1", "--n", "9,1"], "projmat takes"),
+            (["sym", "projmat", "--l", "5,3", "--m", "5,3", "--n", "7,1"], "projmat takes"),
+            (["sym", "projmat", "--l", "4,2,2", "--m", _ones(8), "--n", "3,3,1,1"],
+             "projmat takes"),
+            (["sym", "projmat", "--l", _ones(23), "--m", "22,1", "--n", "2," + _ones(21)],
+             "projmat takes"),
+        ):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
+    def test_sym_input_at_the_caps_runs(self, capsys):
+        for argv in (
+            ["sym", "mult", "--l", "8,6,5,4,3,2,1", "--m", "7,6,5,4,3,2,1,1",
+             "--n", "6,5,4,4,3,3,2,1,1"],
+            ["sym", "projmat", "--l", "5,5", "--m", _ones(10), "--n", "2,2,2,2,2"],
+            ["sym", "projmat", "--l", _ones(22), "--m", "21,1", "--n", "2," + _ones(20)],
+        ):
+            assert main(argv) == 0
+            assert "error" not in capsys.readouterr().err
+
+    def test_sym_verify_degree_choices(self, capsys):
+        assert _build_parser().parse_args(["sym", "verify", "--d", "8"]).d == 8
+        with pytest.raises(SystemExit) as exc:
+            main(["sym", "verify", "--d", "9"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_lone_double_dash_value_exit_two(self, capsys):
         for argv, flag in ((["threej", "--j=--", "--m", "0 0 0"], "--j"),

@@ -3,7 +3,7 @@ quadratic relation between projections of a tensor square."""
 
 import hashlib
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, gcd
 
 import pytest
@@ -141,7 +141,73 @@ class TestStandardTableaux:
             [tuple((k,) for k in range(1, 1501))]
 
 
+def _signed_tabloid(columns):
+    """(the sign that sorts every column, the tuple of sorted columns)"""
+    sign = 1
+    for col in columns:
+        inversions = sum(1 for i in range(len(col)) for j in range(i + 1, len(col))
+                         if col[i] > col[j])
+        sign *= (-1) ** inversions
+    return sign, tuple(tuple(sorted(col)) for col in columns)
+
+
+def _walked_polytabloid(rows):
+    """Oracle: e_t as {column tabloid: coefficient}, summed over every
+    row-preserving rearrangement of the tableau with these rows."""
+    vec = {}
+    for images in product(*(permutations(row) for row in rows)):
+        sign, key = _signed_tabloid([[img[c] for img in images if len(img) > c]
+                                     for c in range(len(rows[0]))])
+        vec[key] = vec.get(key, 0) + sign
+    return {k: v for k, v in vec.items() if v}
+
+
+def _tabloid_walk_matrix(tabs, basis, perm):
+    """Oracle for _ColumnSpan.matrix: move every signed column tabloid of
+    each basis vector by the permutation, then peel the basis vectors off in
+    column-word order, each read at its tableau's own column tabloid."""
+    owns = [tuple(tuple(row[c] for row in t.rows if len(row) > c)
+                  for c in range(len(t.rows[0]))) for t in tabs]
+    cols = []
+    for vec in basis:
+        moved = {}
+        for key, v in vec.items():
+            sign, nkey = _signed_tabloid([[perm[x - 1] for x in col] for col in key])
+            moved[nkey] = moved.get(nkey, 0) + sign * v
+        coeffs = []
+        for own, bvec in zip(owns, basis):
+            c = moved.get(own, 0)
+            coeffs.append(c)
+            for key, v in bvec.items():
+                moved[key] = moved.get(key, 0) - c * v
+        assert not any(moved.values())
+        cols.append(coeffs)
+    return tuple(zip(*cols))
+
+
+def _oracle_perms(d):
+    """Every permutation for d <= 5; otherwise every transposition, the long
+    cycle, its inverse and the identity."""
+    if d <= 5:
+        return list(permutations(range(1, d + 1)))
+    perms = {identity_perm(d), cycle_perm(d), inverse_perm(cycle_perm(d))}
+    perms.update(swap_perm(i, k, d) for i in range(1, d + 1) for k in range(i + 1, d + 1))
+    return sorted(perms)
+
+
 class TestGeneratorMatrices:
+    def test_matches_tabloid_walk(self):
+        pairs = 0
+        for d in range(1, 8):
+            for sh in partitions(d):
+                tabs = sorted(standard_tableaux(sh), key=lambda t: t.column_word())
+                basis = [_walked_polytabloid(t.rows) for t in tabs]
+                mod = _module(sh)
+                for perm in _oracle_perms(d):
+                    assert mod.matrix(perm) == _tabloid_walk_matrix(tabs, basis, perm)
+                    pairs += 1
+        assert pairs == 1541
+
     def test_full_row_shape_is_trivial(self):
         s, c = generator_matrices((6,))
         assert s.entries == ((1,),)
@@ -176,14 +242,24 @@ class TestGeneratorMatrices:
         with pytest.raises(ValueError, match="does not match"):
             rep_matrix((3, 1), (1, 2, 3))
 
-    def test_expansion_outside_span_rejected(self):
-        # (2, 1) has three column tabloids but a two-dimensional span, which
-        # contains no single tabloid
-        mod = _module((2, 1))
-        assert len(mod._keys) == 3
-        for idx in range(3):
-            with pytest.raises(ArithmeticError, match="expansion left the standard span"):
-                mod._solve({idx: 1})
+    @pytest.mark.parametrize("owner, attr, broken, message", [
+        (symgroup, "_polytabloid_value",
+         lambda orig: lambda rows, col_of: abs(orig(rows, col_of)), "not inverse"),
+        (symgroup, "_polytabloid_value", lambda orig: lambda rows, col_of: 1,
+         "not unitriangular"),
+        (symgroup._ColumnSpan, "_coordinates", lambda orig: lambda self, values: list(values),
+         "not inverse"),
+    ], ids=["unsigned-values", "constant-values", "no-substitution"])
+    def test_wrong_polytabloid_values_rejected(self, monkeypatch, owner, attr, broken, message):
+        # a value formula that drops the column signs, or a substitution that
+        # drops its subtraction, must be caught by the library itself
+        monkeypatch.setattr(owner, attr, broken(getattr(owner, attr)))
+        _module.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match=message):
+                generator_matrices((3, 2))
+        finally:
+            _module.cache_clear()
 
 
 class TestMultiplicity:
@@ -519,8 +595,18 @@ class TestConjecture:
         assert not relation_residual_vanishes(6, (26, 60, -12, -240))
         assert not relation_residual_vanishes(7, (432, 882, -49, -6301))
 
+    def test_degree_eight(self):
+        rep = conjecture_check(8)
+        assert rep.passed
+        assert rep.kernel_dimension == 1
+        assert rep.coefficients == (245, 448, -32, -5040)
+        assert relation_residual_vanishes(8, rep.coefficients)
+        assert not relation_residual_vanishes(8, (245, 448, -32, -5041))
+
     def test_rejects_other_degrees(self):
-        with pytest.raises(ValueError, match="degree must be 5, 6, or 7"):
+        with pytest.raises(ValueError, match="degree must be 5, 6, 7, or 8"):
             conjecture_check(4)
-        with pytest.raises(ValueError, match="degree must be 5, 6, or 7"):
-            conjecture_check(8)
+        with pytest.raises(ValueError, match="degree must be 5, 6, 7, or 8"):
+            conjecture_check(9)
+        with pytest.raises(ValueError, match="degree must be 5, 6, 7, or 8"):
+            relation_residual_vanishes(9, (1, 1, 1, 1))
