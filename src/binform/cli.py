@@ -159,7 +159,13 @@ def _report_dict(rep) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _require_orders(args, cap: int, command: str) -> None:
+    if max(args.m, args.n) > cap:
+        raise ValueError(f"{command} takes --m and --n of at most {cap}")
+
+
 def _cmd_transvect(args) -> int:
+    _require_orders(args, _MAX_TRANSVECT_ORDER, "transvect")
     A = _parse_form(args.A, "--A", args.m, args.convention)
     B = _parse_form(args.B, "--B", args.n, args.convention)
     if A.order != args.m or B.order != args.n:
@@ -179,6 +185,12 @@ def _table_for(args):
 
 
 def _cmd_syzygy(args) -> int:
+    if args.action == "verify":
+        _require_orders(args, _MAX_VERIFY_ORDER, "syzygy verify")
+        if args.trials > _MAX_VERIFY_TRIALS:
+            raise ValueError(f"syzygy verify takes --trials of at most {_MAX_VERIFY_TRIALS}")
+    else:
+        _require_orders(args, _MAX_SYZYGY_ORDER, "syzygy")
     table = _table_for(args)
     if args.action == "verify":
         res = verify_table(table, args.trials, args.seed)
@@ -202,6 +214,7 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    _require_orders(args, _MAX_RECONSTRUCT_ORDER, "reconstruct")
     u0 = BinaryForm.from_json_dict(json.loads(args.u0))
     u1 = BinaryForm.from_json_dict(json.loads(args.u1))
     forms = reconstruct(u0, u1, args.m, args.n)
@@ -224,6 +237,20 @@ def _cmd_reconstruct(args) -> int:
 _MAX_THREEJ_TWICE = 800
 _MAX_SIXJ_TWICE = 128
 _MAX_NINEJ_TWICE = 40
+
+# Caps on the orders of the form commands and on `syzygy verify --trials`,
+# measured the same way.  `transvect` with m = n = 110 and r = 55
+# (coefficients p/q with |p| < 100 and q <= 20) takes 0.83 s, and with
+# m = n = 120 1.2 s.  The `syzygy` table at m = n = r = 18, point (7, 0), the
+# costliest point, takes 0.92 s; at order 20, point (7, 1), 2.4 s.
+# `syzygy verify` at m = n = r = 10 with 12 trials takes 0.9-1.1 s at every
+# lattice point and for the closed form, and with 20 trials 1.5 s.
+# `reconstruct` at m = n = 12 takes 0.76 s, at 13 1.1 s and at 14 1.3 s.
+_MAX_TRANSVECT_ORDER = 110
+_MAX_SYZYGY_ORDER = 18
+_MAX_VERIFY_ORDER = 10
+_MAX_VERIFY_TRIALS = 12
+_MAX_RECONSTRUCT_ORDER = 12
 
 
 def _require_cap(entries: Sequence[Fraction], cap: int, flag: str) -> None:

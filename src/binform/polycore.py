@@ -16,7 +16,7 @@ mutated and equal inputs give equal outputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, gcd, lcm, perm
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -36,12 +36,30 @@ def _check_pair(name: str) -> None:
 # ---------------------------------------------------------------------------
 # Raw kernels.
 #
-# The heavy pipelines (operator chases, big transvectants) run on plain dicts
-# mapping fixed-width exponent tuples to numeric coefficients.  When the
-# coefficients are ints the arithmetic stays in ints, which is several times
-# faster than Fraction.  MultiForm methods delegate to these kernels.
-# `sa`, `sb`, ... are slot offsets: pair k occupies slots 2k and 2k+1.
+# The heavy pipelines (operator chases, transvectants, syzygy residuals) run
+# on plain dicts mapping fixed-width exponent tuples to numeric coefficients.
+# When the coefficients are ints the arithmetic stays in ints, which is
+# several times faster than Fraction; `_primitive` splits rational terms into
+# a content and integer terms so that callers can feed the kernels ints and
+# apply the content once at the end.  MultiForm methods delegate to these
+# kernels.  `sa`, `sb`, ... are slot offsets: pair k occupies slots 2k and
+# 2k+1.
 # ---------------------------------------------------------------------------
+
+
+def _primitive(terms: Mapping) -> tuple:
+    """Split terms into (content, int_terms) with terms == content * int_terms.
+
+    The content is a positive Fraction and the ints are coprime, so the
+    int terms are the primitive part (Knuth, TAOCP vol. 2, 4.6.1); the empty
+    dict, or one of zeros only, gives (0, {}).
+    """
+    num = gcd(*(c.numerator for c in terms.values()))
+    if not num:
+        return 0, {}
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = {key: c.numerator * (den // c.denominator) // num for key, c in terms.items()}
+    return Fraction(num, den), ints
 
 
 def _raw_add_into(acc: dict, terms: Mapping, factor: Coeff = 1) -> None:

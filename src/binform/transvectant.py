@@ -2,11 +2,13 @@
 
 A transvectant of index r pairs two binary forms of orders m and n into a
 form of order m+n-2r.  The production route forms A(x)*B(y), applies the
-omega operator r times, merges y back into x, and rescales; an independent
-derivative-sum route is kept as an internal oracle.  The module also
-provides the projection/section pair between the tensor space and each
-transvectant summand, the scaling factors tying them together, and an
-exchange identity on Jacobians used by the imbedding argument.
+omega operator r times, merges y back into x, and rescales, all in ints on
+the primitive parts of A and B with their contents applied once at the end;
+an independent derivative-sum route in Fractions is kept as an internal
+oracle.  The module also provides the projection/section pair between the
+tensor space and each transvectant summand, the scaling factors tying them
+together, and an exchange identity on Jacobians used by the imbedding
+argument.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ from typing import Sequence
 
 from .polycore import (
     MultiForm,
+    _aligned,
+    _primitive,
+    _raw_mul,
+    _raw_omega_power,
+    _raw_substitute,
     add,
     bracket_power,
     mul,
     negate,
-    omega_power,
     polarize,
     scale,
     substitute_pair,
@@ -152,6 +158,9 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     """The r-th transvectant (A,B)_r, of order m+n-2r.
 
     Omega route: f(m,n;r) * [Omega^r A(x)B(y)] with y merged back into x.
+    It runs on content times primitive part: the raw kernels see only the
+    int coefficients of A and B, laid out on one 4-slot key, and the
+    contents c_A * c_B meet f(m,n;r) once per output term.
     """
     if A.pair != B.pair:
         raise ValueError("forms are over different pairs")
@@ -162,20 +171,36 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     out_order = m + n - 2 * r
     t = A.pair
     s = _partner(t)
-    Bf = substitute_pair(B.form, t, s) if t in B.form.pairs else B.form
-    return BinaryForm(t, out_order, _project(mul(A.form, Bf), t, s, m, n, r))
+    pairs = tuple(sorted((t, s)))
+    ca, a = _primitive(A.form.terms)
+    cb, b = _primitive(B.form.terms)
+    F = _raw_mul(_on_slot(a, pairs.index(t)), _on_slot(b, pairs.index(s)))
+    return BinaryForm(t, out_order, _project(ca * cb, F, pairs, t, s, m, n, r))
 
 
-def _project(F: MultiForm, t: str, s: str, m: int, n: int, r: int) -> MultiForm:
-    """f(m,n;r) * Omega^r F with pair s merged into pair t, for F of
-    orders (m,n) in (t,s)."""
-    G = omega_power(F, t, s, r)
-    if s in G.pairs:
-        G = substitute_pair(G, s, t)
-    return scale(G, factor_f(m, n, r))
+def _on_slot(terms: dict, index: int) -> dict:
+    """Terms of a form in one pair (key () when of order 0) as terms of
+    that pair at `index` among two pairs."""
+    pad = (0, 0)
+    if index:
+        return {pad + (key or pad): c for key, c in terms.items()}
+    return {(key or pad) + pad: c for key, c in terms.items()}
+
+
+def _project(content: Fraction, terms: dict, pairs: tuple, t: str, s: str,
+             m: int, n: int, r: int) -> MultiForm:
+    """content * f(m,n;r) * Omega^r F with pair s merged into pair t, for
+    the int terms F of orders (m,n) in (t,s) laid out over `pairs`."""
+    st, ss = 2 * pairs.index(t), 2 * pairs.index(s)
+    G = _raw_substitute(_raw_omega_power(terms, st, ss, r), ss, st)
+    c = content * factor_f(m, n, r)
+    num, den = c.numerator, c.denominator
+    return MultiForm._make(pairs, {key: Fraction(v * num, den) for key, v in G.items()})
 
 
 def _derivative(form: MultiForm, pair: str, d1: int, d2: int) -> MultiForm:
+    if not d1 and not d2:
+        return form  # also an order-0 form, whose pair is pruned
     s = 2 * form.pairs.index(pair)
     out = {}
     for key, c in form.terms.items():
@@ -220,7 +245,9 @@ def project_pi(F: MultiForm, m: int, n: int, r: int) -> MultiForm:
         return MultiForm.zero()
     if F.order("x") != m or F.order("y") != n:
         raise ValueError("order mismatch for pair 'x'/'y'")
-    return _project(F, "x", "y", m, n, r)
+    pairs = tuple(sorted(set(F.pairs) | {"x", "y"}))
+    content, terms = _primitive(_aligned(F.terms, F.pairs, pairs))
+    return _project(content, terms, pairs, "x", "y", m, n, r)
 
 
 def section_iota(C, m: int, n: int, r: int) -> MultiForm:

@@ -351,6 +351,46 @@ class TestMainInProcess:
             assert main(argv) == 0
             assert "error" not in capsys.readouterr().err
 
+    def test_form_orders_and_trials_over_the_caps_exit_two(self, capsys):
+        for argv, message in (
+            (["transvect", "--m", "111", "--n", "1", "--r", "1", "--A", "1 " * 112,
+              "--B", "1 1"], "transvect takes --m and --n of at most 110"),
+            (["transvect", "--m", "1", "--n", "111", "--r", "1", "--A", "1 1",
+              "--B", "1 " * 112], "transvect takes --m and --n of at most 110"),
+            (["syzygy", "--m", "19", "--n", "19", "--r", "19"],
+             "syzygy takes --m and --n of at most 18"),
+            (["syzygy", "--m", "40", "--n", "40", "--r", "40"],
+             "syzygy takes --m and --n of at most 18"),
+            (["syzygy", "verify", "--m", "11", "--n", "10", "--r", "10"],
+             "syzygy verify takes --m and --n of at most 10"),
+            (["syzygy", "verify", "--m", "12", "--n", "12", "--r", "12", "--trials", "200"],
+             "syzygy verify takes --m and --n of at most 10"),
+            (["syzygy", "verify", "--m", "5", "--n", "3", "--r", "2", "--trials", "13"],
+             "syzygy verify takes --trials of at most 12"),
+            (["reconstruct", "--m", "13", "--n", "2", "--u0", "{}", "--u1", "{}"],
+             "reconstruct takes --m and --n of at most 12"),
+        ):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
+    def test_form_orders_and_trials_at_the_caps_run(self, capsys):
+        from binform import seeding
+        from binform.transvectant import random_binary_form, transvect
+
+        rng = seeding.stream(3, "cli-caps")
+        A, B = random_binary_form(12, rng), random_binary_form(12, rng)
+        u0, u1 = (json.dumps(transvect(A, B, r).to_json_dict()) for r in (0, 1))
+        coeffs = " ".join(f"{k % 7 - 3}/{k % 5 + 1}" for k in range(111))
+        for argv in (
+            ["transvect", "--m", "110", "--n", "110", "--r", "55", "--A", coeffs, "--B", coeffs],
+            ["syzygy", "--m", "18", "--n", "18", "--r", "18", "--a", "7", "--b", "0"],
+            ["syzygy", "verify", "--m", "10", "--n", "10", "--r", "10", "--a", "4",
+             "--trials", "12"],
+            ["reconstruct", "--m", "12", "--n", "12", "--u0", u0, "--u1", u1],
+        ):
+            assert main(argv) == 0
+            assert "error" not in capsys.readouterr().err
+
 
 # Every parser that reads free text, with the other flags pinned to small
 # valid values; the text is passed as --flag=TEXT so argparse never reads it

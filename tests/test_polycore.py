@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from binform.polycore import (
     MultiForm,
+    _primitive,
     add,
     bracket,
     bracket_power,
@@ -305,3 +307,29 @@ def test_declared_order_checked_against_terms():
     with pytest.raises(ValueError, match="order mismatch"):
         MultiForm({"x": 0, "y": 1}, {(1, 0, 1, 0): 1})
     assert MultiForm({"x": 3}, {}).is_zero()
+
+
+_nonzero_rationals = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _nonzero_rationals,
+                       max_size=8))
+def test_primitive_splits_content_and_primitive_part(terms):
+    content, ints = _primitive(terms)
+    if not terms:
+        assert (content, ints) == (0, {})
+        return
+    assert content > 0
+    assert all(type(v) is int for v in ints.values())
+    assert gcd(*ints.values()) == 1
+    assert {k: content * v for k, v in ints.items()} == terms
+
+
+def test_primitive_of_the_empty_dict():
+    assert _primitive({}) == (0, {})
+    assert _primitive(MultiForm.zero().terms) == (0, {})
+    assert _primitive({(1, 0): F(-6, 35), (0, 1): F(4, 21)}) == (F(2, 105), {(1, 0): -9, (0, 1): 10})

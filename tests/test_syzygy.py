@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from binform import seeding
-from binform.polycore import MultiForm
+from binform import seeding, syzygy
+from binform.polycore import MultiForm, add, scale
 from binform.syzygy import (
     SyzygyTable,
     closed_form_table,
@@ -22,7 +22,7 @@ from binform.syzygy import (
     verify_table,
 )
 from binform.syzygy import _sample_pair
-from binform.transvectant import BinaryForm, random_binary_form, transvect
+from binform.transvectant import BinaryForm, random_binary_form, transvect, transvect_derivative
 
 GRIDS = [(5, 3, 2), (5, 3, 3), (7, 5, 4), (8, 6, 5), (6, 6, 4)]
 
@@ -223,6 +223,13 @@ class TestVerifyTable:
         assert not res.passed
         assert res.reason == "nonzero residual"
         assert res.residual is not None and not res.residual.is_zero()
+        # the residual is the Fraction sum of theta_ij (u_i, u_j)_{r-i-j}
+        A, B, _, _ = _sample_pair(5, 3, 7, res.failed_trial, False)
+        expected = MultiForm.zero()
+        for (i, j), c in bad.coeffs.items():
+            u_i, u_j = transvect_derivative(A, B, i), transvect_derivative(A, B, j)
+            expected = add(expected, scale(transvect_derivative(u_i, u_j, 2 - i - j).form, c))
+        assert res.residual == expected
 
     def test_symbolic_mode(self):
         assert verify_table(vartheta_table(5, 3, 2, (0, 0)), 1, seed=0, symbolic=True).passed
@@ -233,6 +240,18 @@ class TestVerifyTable:
         assert (A.order, B.order) == (10, 10)
         assert B.to_coeffs()[-1] == 79
         assert verify_table(vartheta_table(10, 10, 2, (0, 0)), 1, 0, symbolic=True).passed
+
+    def test_draw_cache_over_its_bound_still_verifies(self, monkeypatch):
+        monkeypatch.setattr(syzygy, "_draw_cache", {})
+        monkeypatch.setattr(syzygy, "_MAX_DRAWS", 2)
+        good = vartheta_table(5, 3, 2, (0, 0))
+        assert verify_table(good, 5, seed=11).passed
+        assert list(syzygy._draw_cache) == [(5, 3, 11, t, False) for t in (3, 4)]
+        assert verify_table(good, 5, seed=11).passed
+        assert verify_table(closed_form_table(4, 4, 3), 3, seed=11).passed
+        assert len(syzygy._draw_cache) == 2
+        bad = SyzygyTable(5, 3, 2, (0, 0), {**good.coeffs, (0, 0): good.coeffs[(0, 0)] * 2})
+        assert verify_table(bad, 5, seed=11).failed_trial == 0
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):

@@ -1,11 +1,24 @@
 """Transvectants, projections, and sections."""
 
+import hashlib
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binform import seeding
-from binform.polycore import MultiForm, add, evaluate, mul, negate, scale
+from binform.polycore import (
+    MultiForm,
+    add,
+    evaluate,
+    mul,
+    negate,
+    omega_power,
+    scale,
+    substitute_pair,
+)
 from binform.transvectant import (
     BinaryForm,
     factor_f,
@@ -199,3 +212,68 @@ class TestJacobianExchange:
         A, B = _rand(3, rng), _rand(2, rng)
         with pytest.raises(ValueError, match="equal orders"):
             jacobian_exchange_check(A, B, _rand(2, rng), _rand(3, rng))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction omega route as an oracle for transvect
+# ---------------------------------------------------------------------------
+
+
+def _fraction_omega_route(A, B, r):
+    """f(m,n;r) * Omega^r A(t) B(s) with s merged back into t, on Fraction
+    MultiForms: the route transvect took before it split off contents."""
+    if A.is_zero() or B.is_zero():
+        return MultiForm.zero()
+    m, n, t = A.order, B.order, A.pair
+    s = "y" if t != "y" else "x"
+    Bs = substitute_pair(B.form, t, s) if t in B.form.pairs else B.form
+    G = omega_power(mul(A.form, Bs), t, s, r)
+    if s in G.pairs:
+        G = substitute_pair(G, s, t)
+    return scale(G, F(factorial(m - r) * factorial(n - r), factorial(m) * factorial(n)))
+
+
+_coeffs = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+
+
+@st.composite
+def _transvectant_cases(draw):
+    pair = draw(st.sampled_from(("x", "y", "z")))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    A = BinaryForm.from_coeffs(draw(st.lists(_coeffs, min_size=m + 1, max_size=m + 1)), pair)
+    B = BinaryForm.from_coeffs(draw(st.lists(_coeffs, min_size=n + 1, max_size=n + 1)), pair)
+    r = draw(st.one_of(st.just(0), st.just(min(m, n)), st.integers(0, min(m, n))))
+    return A, B, r
+
+
+def _case(pair, a, b, r):
+    return (BinaryForm.from_coeffs(a, pair), BinaryForm.from_coeffs(b, pair), r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_transvectant_cases())
+@example(_case("y", [F(1, 999983), 0, F(-7, 10**6)], [3, F(5, 999999)], 1))
+@example(_case("x", [0, 0, 0], [1, 2, 3], 2))
+@example(_case("z", [F(5, 2)], [1, F(-1, 3), 2], 0))
+@example(_case("x", [1, F(1, 2), F(1, 3), F(1, 4)], [F(2, 3), 0, F(-1, 7), 9], 3))
+def test_transvect_matches_the_fraction_route_and_the_derivative_route(case):
+    A, B, r = case
+    got = transvect(A, B, r)
+    assert got.pair == A.pair
+    assert got.form == _fraction_omega_route(A, B, r)
+    assert got == transvect_derivative(A, B, r)
+
+
+def test_transvect_pinned_over_a_seeded_grid():
+    # sha256 of repr(form) for every (A, B)_r with orders 0..8 in pairs x, y
+    # and z, computed before transvect split off contents
+    h = hashlib.sha256()
+    for pair in ("x", "y", "z"):
+        for m in range(9):
+            for n in range(9):
+                rng = seeding.stream(5, "pin", pair, m, n)
+                A, B = _rand(m, rng, pair), _rand(n, rng, pair)
+                for r in range(min(m, n) + 1):
+                    h.update(repr(transvect(A, B, r).form).encode())
+    assert h.hexdigest() == "1b8293fd422108272351014ebb0d5c3508f9cfb07a468238632444c3c6e9695a"
