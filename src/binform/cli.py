@@ -164,6 +164,13 @@ def _require_orders(args, cap: int, command: str) -> None:
         raise ValueError(f"{command} takes --m and --n of at most {cap}")
 
 
+def _require_trials(args, command: str) -> None:
+    if args.trials < 1:
+        raise ValueError(f"{command} takes --trials of at least 1")
+    if args.trials > _MAX_VERIFY_TRIALS:
+        raise ValueError(f"{command} takes --trials of at most {_MAX_VERIFY_TRIALS}")
+
+
 def _cmd_transvect(args) -> int:
     _require_orders(args, _MAX_TRANSVECT_ORDER, "transvect")
     A = _parse_form(args.A, "--A", args.m, args.convention)
@@ -187,8 +194,7 @@ def _table_for(args):
 def _cmd_syzygy(args) -> int:
     if args.action == "verify":
         _require_orders(args, _MAX_VERIFY_ORDER, "syzygy verify")
-        if args.trials > _MAX_VERIFY_TRIALS:
-            raise ValueError(f"syzygy verify takes --trials of at most {_MAX_VERIFY_TRIALS}")
+        _require_trials(args, "syzygy verify")
     else:
         _require_orders(args, _MAX_SYZYGY_ORDER, "syzygy")
     table = _table_for(args)
@@ -238,13 +244,16 @@ _MAX_THREEJ_TWICE = 800
 _MAX_SIXJ_TWICE = 128
 _MAX_NINEJ_TWICE = 40
 
-# Caps on the orders of the form commands and on `syzygy verify --trials`,
-# measured the same way.  `transvect` with m = n = 110 and r = 55
-# (coefficients p/q with |p| < 100 and q <= 20) takes 0.83 s, and with
-# m = n = 120 1.2 s.  The `syzygy` table at m = n = r = 18, point (7, 0), the
-# costliest point, takes 0.92 s; at order 20, point (7, 1), 2.4 s.
+# Caps on the orders of the form commands and on the --trials of `syzygy
+# verify` and `verify`, measured the same way.  `transvect` with
+# m = n = 110 and r = 55 (coefficients p/q with |p| < 100 and q <= 20) takes
+# 0.83 s, and with m = n = 120 1.2 s.  The `syzygy` table at m = n = r = 18,
+# point (7, 0), the costliest point, takes 0.92 s; at order 20, point
+# (7, 1), 2.4 s.
 # `syzygy verify` at m = n = r = 10 with 12 trials takes 0.9-1.1 s at every
 # lattice point and for the closed form, and with 20 trials 1.5 s.
+# `verify --suite syzygy` takes 5.6 s at the default 5 trials and 10.7 s at
+# 12, about linear in the trials.
 # `reconstruct` at m = n = 12 takes 0.76 s, at 13 1.1 s and at 14 1.3 s.
 _MAX_TRANSVECT_ORDER = 110
 _MAX_SYZYGY_ORDER = 18
@@ -368,6 +377,7 @@ def _cmd_sym(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_trials(args, "verify")
     report = run_suite(args.suite, args.seed, args.trials)
     payload = report.to_json_dict()
     width = max((len(r.check_id) for r in report.results), default=10)

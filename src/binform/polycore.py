@@ -7,7 +7,10 @@ order a caller declares is checked against them.  On top of the
 ring operations this module provides the differential operators that drive
 everything else in the package: the omega operator (the 2x2 polarization
 determinant), single-pair polarization, bracket monomials, pair
-substitution, and exact division.
+substitution, and exact division.  The operators and the product run on
+one set of raw kernels over packed int exponent keys, which transvectants
+and the 9-j operator chain share; a MultiForm packs its tuple keys at that
+boundary.
 
 All values are immutable and all operations are pure: inputs are never
 mutated and equal inputs give equal outputs.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 Rational = Fraction
 
@@ -36,14 +39,20 @@ def _check_pair(name: str) -> None:
 # ---------------------------------------------------------------------------
 # Raw kernels.
 #
-# The heavy pipelines (operator chases, transvectants, syzygy residuals) run
-# on plain dicts mapping fixed-width exponent tuples to numeric coefficients.
-# When the coefficients are ints the arithmetic stays in ints, which is
-# several times faster than Fraction; `_primitive` splits rational terms into
-# a content and integer terms so that callers can feed the kernels ints and
-# apply the content once at the end.  MultiForm methods delegate to these
-# kernels.  `sa`, `sb`, ... are slot offsets: pair k occupies slots 2k and
-# 2k+1.
+# The heavy pipelines (the 9-j operator chain, transvectants, the MultiForm
+# operations) run on plain dicts from packed exponent keys to coefficients.
+# A key holds one exponent per slot (pair k of PAIR_NAMES has slots 2k and
+# 2k+1) in a field of w bits, slot s at bit s*w, so a product of monomials
+# is one integer addition (Monagan & Pearce, "Polynomial Division Using
+# Dynamic Arrays, Heaps, and Packed Exponent Vectors", CASC 2007).  Callers
+# pick w from the largest exponent an operation can produce, so no field
+# carries into the next; MultiForm operations pack their tuple keys at the
+# boundary with `_pack` and unpack with `_unpack`.  When the coefficients
+# are ints the arithmetic stays in ints, which is several times faster than
+# Fraction; `_primitive` splits rational terms into a content and integer
+# terms so that callers can feed the kernels ints and apply the content once
+# at the end.  Kernels never mutate their input, and a zero power returns
+# the input itself.
 # ---------------------------------------------------------------------------
 
 
@@ -71,12 +80,47 @@ def _raw_add_into(acc: dict, terms: Mapping, factor: Coeff = 1) -> None:
             acc.pop(key, None)
 
 
+def _width(*entries: int) -> int:
+    """The field width that holds every exponent up to max(entries)."""
+    return max(entries).bit_length()
+
+
+def _offsets(w: int, name: str) -> Tuple[int, int]:
+    """The bit offsets of pair name's two exponent fields."""
+    s = 2 * PAIR_NAMES.index(name) * w
+    return s, s + w
+
+
+def _key(w: int, **exps: Tuple[int, int]) -> int:
+    """Packed key with the given (e1, e2) per pair name, zero elsewhere."""
+    key = 0
+    for name, (e1, e2) in exps.items():
+        o1, o2 = _offsets(w, name)
+        key += (e1 << o1) + (e2 << o2)
+    return key
+
+
+def _pack(terms: Mapping, pairs: tuple, w: int) -> dict:
+    """Terms keyed by exponent tuples laid out over pairs, rekeyed by packed
+    keys of field width w."""
+    offs = [o for name in pairs for o in _offsets(w, name)]
+    return {sum([e << o for e, o in zip(key, offs)]): c for key, c in terms.items()}
+
+
+def _unpack(terms: Mapping, pairs: tuple, w: int) -> dict:
+    """Packed terms rekeyed by exponent tuples laid out over pairs; the
+    fields of every other pair must be zero."""
+    offs = [o for name in pairs for o in _offsets(w, name)]
+    mask = (1 << w) - 1
+    return {tuple([key >> o & mask for o in offs]): c for key, c in terms.items()}
+
+
 def _raw_mul(t1: Mapping, t2: Mapping) -> dict:
     out: dict = {}
     get = out.get
     for k1, c1 in t1.items():
         for k2, c2 in t2.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
+            key = k1 + k2
             nc = get(key, 0) + c1 * c2
             if nc:
                 out[key] = nc
@@ -85,28 +129,25 @@ def _raw_mul(t1: Mapping, t2: Mapping) -> dict:
     return out
 
 
-def _raw_omega_power(terms: Mapping, sa: int, sb: int, r: int) -> dict:
+def _raw_omega_power(terms: Mapping, w: int, a: str, b: str, r: int) -> Mapping:
     # omega = d/da1 d/db2 - d/da2 d/db1, expanded to the r-th power in one
     # pass: sum_k (-1)^k C(r,k) da1^(r-k) da2^k db1^k db2^(r-k).
     if r == 0:
-        return dict(terms)
-    binoms = [comb(r, k) for k in range(r + 1)]
+        return terms
+    (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
+    mask = (1 << w) - 1
+    binoms = [-comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)]
+    moves = [((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2) for k in range(r + 1)]
     out: dict = {}
     get = out.get
     for key, c in terms.items():
-        ea1, ea2, eb1, eb2 = key[sa], key[sa + 1], key[sb], key[sb + 1]
+        ea1, ea2 = key >> a1 & mask, key >> a2 & mask
+        eb1, eb2 = key >> b1 & mask, key >> b2 & mask
         for k in range(max(0, r - ea1, r - eb2), min(r, ea2, eb1) + 1):
-            i, j = r - k, k
-            mult = binoms[k] * perm(ea1, i) * perm(ea2, j) * perm(eb1, j) * perm(eb2, i)
-            if k & 1:
-                mult = -mult
-            nk = list(key)
-            nk[sa] = ea1 - i
-            nk[sa + 1] = ea2 - j
-            nk[sb] = eb1 - j
-            nk[sb + 1] = eb2 - i
-            nk = tuple(nk)
-            nc = get(nk, 0) + c * mult
+            i = r - k
+            nk = key - moves[k]
+            nc = get(nk, 0) + (c * binoms[k] * perm(ea1, i) * perm(ea2, k)
+                               * perm(eb1, k) * perm(eb2, i))
             if nc:
                 out[nk] = nc
             else:
@@ -114,24 +155,22 @@ def _raw_omega_power(terms: Mapping, sa: int, sb: int, r: int) -> dict:
     return out
 
 
-def _raw_polarize(terms: Mapping, ssrc: int, sdst: int, ell: int) -> dict:
+def _raw_polarize(terms: Mapping, w: int, src: str, dst: str, ell: int) -> Mapping:
     # (dst . d/dsrc)^ell = sum_k C(ell,k) dst1^k dst2^(ell-k) dsrc1^k dsrc2^(ell-k)
     if ell == 0:
-        return dict(terms)
+        return terms
+    (s1, s2), (d1, d2) = _offsets(w, src), _offsets(w, dst)
+    mask = (1 << w) - 1
     binoms = [comb(ell, k) for k in range(ell + 1)]
+    moves = [(k << d1) - (k << s1) + ((ell - k) << d2) - ((ell - k) << s2)
+             for k in range(ell + 1)]
     out: dict = {}
     get = out.get
     for key, c in terms.items():
-        es1, es2 = key[ssrc], key[ssrc + 1]
-        for k in range(max(0, ell - es2), min(ell, es1) + 1):
-            mult = binoms[k] * perm(es1, k) * perm(es2, ell - k)
-            nk = list(key)
-            nk[ssrc] = es1 - k
-            nk[ssrc + 1] = es2 - (ell - k)
-            nk[sdst] += k
-            nk[sdst + 1] += ell - k
-            nk = tuple(nk)
-            nc = get(nk, 0) + c * mult
+        e1, e2 = key >> s1 & mask, key >> s2 & mask
+        for k in range(max(0, ell - e2), min(ell, e1) + 1):
+            nk = key + moves[k]
+            nc = get(nk, 0) + c * binoms[k] * perm(e1, k) * perm(e2, ell - k)
             if nc:
                 out[nk] = nc
             else:
@@ -139,17 +178,15 @@ def _raw_polarize(terms: Mapping, ssrc: int, sdst: int, ell: int) -> dict:
     return out
 
 
-def _raw_substitute(terms: Mapping, ssrc: int, sdst: int) -> dict:
-    # merge pair src into pair dst, zeroing the src slots in place
+def _raw_substitute(terms: Mapping, w: int, src: str, dst: str) -> dict:
+    # merge pair src into pair dst, zeroing the src fields
+    (s1, s2), (d1, d2) = _offsets(w, src), _offsets(w, dst)
+    mask = (1 << w) - 1
+    m1, m2 = (1 << d1) - (1 << s1), (1 << d2) - (1 << s2)
     out: dict = {}
     get = out.get
     for key, c in terms.items():
-        nk = list(key)
-        nk[sdst] += nk[ssrc]
-        nk[sdst + 1] += nk[ssrc + 1]
-        nk[ssrc] = 0
-        nk[ssrc + 1] = 0
-        nk = tuple(nk)
+        nk = key + (key >> s1 & mask) * m1 + (key >> s2 & mask) * m2
         nc = get(nk, 0) + c
         if nc:
             out[nk] = nc
@@ -158,17 +195,11 @@ def _raw_substitute(terms: Mapping, ssrc: int, sdst: int) -> dict:
     return out
 
 
-def _raw_bracket_power(nslots: int, sa: int, sb: int, r: int) -> dict:
+def _raw_bracket_power(w: int, a: str, b: str, r: int) -> dict:
     # (ab)^r = sum_k (-1)^k C(r,k) a1^(r-k) a2^k b1^k b2^(r-k)
-    out: dict = {}
-    for k in range(r + 1):
-        key = [0] * nslots
-        key[sa] = r - k
-        key[sa + 1] = k
-        key[sb] = k
-        key[sb + 1] = r - k
-        out[tuple(key)] = -comb(r, k) if k & 1 else comb(r, k)
-    return out
+    (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
+    return {((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2):
+            -comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +416,27 @@ def scale(f: MultiForm, c: Coeff) -> MultiForm:
     return MultiForm._make(f.pairs, {k: v * c for k, v in f.terms.items()})
 
 
+def _top(f: MultiForm) -> int:
+    """A bound on every exponent of f: its largest pair order, or its
+    largest exponent when some pair has no single order."""
+    orders = f.orders.values()
+    if None in orders:
+        return max(map(max, f.terms))
+    return max(orders, default=0)
+
+
+def _packed_op(f: MultiForm, pairs: tuple, w: int, kernel, *args) -> MultiForm:
+    """kernel applied to f's terms packed in fields of width w, the result
+    read back over pairs."""
+    return MultiForm._make(pairs, _unpack(kernel(_pack(f.terms, f.pairs, w), *args), pairs, w))
+
+
 def mul(f: MultiForm, g: MultiForm) -> MultiForm:
     if not f.terms or not g.terms:
         return MultiForm.zero()
     pairs = tuple(sorted(set(f.pairs) | set(g.pairs)))
-    t1 = _aligned(f.terms, f.pairs, pairs)
-    t2 = _aligned(g.terms, g.pairs, pairs)
-    return MultiForm._make(pairs, _raw_mul(t1, t2))
+    w = _width(_top(f) + _top(g))
+    return _packed_op(f, pairs, w, _raw_mul, _pack(g.terms, g.pairs, w))
 
 
 def evaluate(f: MultiForm, assignment: Mapping[str, tuple]) -> Fraction:
@@ -450,6 +495,12 @@ def exact_divide(f: MultiForm, g: MultiForm) -> MultiForm:
 # ---------------------------------------------------------------------------
 
 
+def _check_active(f: MultiForm, *names: str) -> None:
+    for name in names:
+        if name not in f.pairs:
+            raise ValueError(f"inactive pair {name!r}")
+
+
 def omega_power(f: MultiForm, a: str, b: str, r: int) -> MultiForm:
     """Apply the omega operator for pairs (a, b) r times in one pass.
 
@@ -464,22 +515,13 @@ def omega_power(f: MultiForm, a: str, b: str, r: int) -> MultiForm:
         raise ValueError("negative operator power")
     if r == 0:
         return f
-    terms = _raw_omega_power(f.terms, f._slot(a), f._slot(b), r)
-    return MultiForm._make(f.pairs, terms)
+    _check_active(f, a, b)
+    w = _width(_top(f))
+    return _packed_op(f, f.pairs, w, _raw_omega_power, w, a, b, r)
 
 
 def omega(f: MultiForm, a: str, b: str) -> MultiForm:
     return omega_power(f, a, b, 1)
-
-
-def _widened(f: MultiForm, src: str, dst: str) -> tuple:
-    """f's pairs and terms, with pair dst made active; src must be active."""
-    if src not in f.pairs:
-        raise ValueError(f"inactive pair {src!r}")
-    if dst in f.pairs:
-        return f.pairs, f.terms
-    pairs = tuple(sorted(set(f.pairs) | {dst}))
-    return pairs, _aligned(f.terms, f.pairs, pairs)
 
 
 def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
@@ -496,9 +538,10 @@ def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
         raise ValueError("negative operator power")
     if ell == 0:
         return f
-    pairs, terms = _widened(f, src, dst)
-    terms = _raw_polarize(terms, 2 * pairs.index(src), 2 * pairs.index(dst), ell)
-    return MultiForm._make(pairs, terms)
+    _check_active(f, src)
+    w = _width(_top(f) + ell)
+    pairs = tuple(sorted(set(f.pairs) | {dst}))
+    return _packed_op(f, pairs, w, _raw_polarize, w, src, dst, ell)
 
 
 def bracket_power(a: str, b: str, r: int) -> MultiForm:
@@ -511,10 +554,9 @@ def bracket_power(a: str, b: str, r: int) -> MultiForm:
         raise ValueError("negative bracket power")
     if r == 0:
         return MultiForm.constant(1)
+    w = _width(r)
     pairs = tuple(sorted((a, b)))
-    sa = 2 * pairs.index(a)
-    sb = 2 * pairs.index(b)
-    return MultiForm._make(pairs, _raw_bracket_power(4, sa, sb, r))
+    return MultiForm._make(pairs, _unpack(_raw_bracket_power(w, a, b, r), pairs, w))
 
 
 def bracket(a: str, b: str) -> MultiForm:
@@ -527,9 +569,10 @@ def substitute_pair(f: MultiForm, src: str, dst: str) -> MultiForm:
     _check_pair(dst)
     if src == dst:
         return f
-    pairs, terms = _widened(f, src, dst)
-    terms = _raw_substitute(terms, 2 * pairs.index(src), 2 * pairs.index(dst))
-    return MultiForm._make(pairs, terms)
+    _check_active(f, src)
+    w = _width(2 * _top(f))
+    pairs = tuple(sorted(set(f.pairs) - {src} | {dst}))
+    return _packed_op(f, pairs, w, _raw_substitute, w, src, dst)
 
 
 def linear_substitute(f: MultiForm, pair: str, coeffs: tuple) -> MultiForm:

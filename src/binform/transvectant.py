@@ -20,11 +20,14 @@ from typing import Sequence
 
 from .polycore import (
     MultiForm,
-    _aligned,
+    _pack,
     _primitive,
     _raw_mul,
     _raw_omega_power,
     _raw_substitute,
+    _top,
+    _unpack,
+    _width,
     add,
     bracket_power,
     mul,
@@ -159,8 +162,8 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
 
     Omega route: f(m,n;r) * [Omega^r A(x)B(y)] with y merged back into x.
     It runs on content times primitive part: the raw kernels see only the
-    int coefficients of A and B, laid out on one 4-slot key, and the
-    contents c_A * c_B meet f(m,n;r) once per output term.
+    int coefficients of A and B, packed in fields wide enough for order
+    m+n, and the contents c_A * c_B meet f(m,n;r) once per output term.
     """
     if A.pair != B.pair:
         raise ValueError("forms are over different pairs")
@@ -168,68 +171,60 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     if A.is_zero() or B.is_zero():
         return BinaryForm(A.pair, max(m + n - 2 * r, 0), MultiForm.zero())
     _check_index(m, n, r)
-    out_order = m + n - 2 * r
     t = A.pair
     s = _partner(t)
-    pairs = tuple(sorted((t, s)))
+    w = _width(m + n)
     ca, a = _primitive(A.form.terms)
     cb, b = _primitive(B.form.terms)
-    F = _raw_mul(_on_slot(a, pairs.index(t)), _on_slot(b, pairs.index(s)))
-    return BinaryForm(t, out_order, _project(ca * cb, F, pairs, t, s, m, n, r))
+    F = _raw_mul(_pack(a, (t,), w), _pack(b, (s,), w))
+    return BinaryForm(t, m + n - 2 * r, _project(ca * cb, F, w, (t,), t, s, m, n, r))
 
 
-def _on_slot(terms: dict, index: int) -> dict:
-    """Terms of a form in one pair (key () when of order 0) as terms of
-    that pair at `index` among two pairs."""
-    pad = (0, 0)
-    if index:
-        return {pad + (key or pad): c for key, c in terms.items()}
-    return {(key or pad) + pad: c for key, c in terms.items()}
-
-
-def _project(content: Fraction, terms: dict, pairs: tuple, t: str, s: str,
+def _project(content: Fraction, terms: dict, w: int, pairs: tuple, t: str, s: str,
              m: int, n: int, r: int) -> MultiForm:
-    """content * f(m,n;r) * Omega^r F with pair s merged into pair t, for
-    the int terms F of orders (m,n) in (t,s) laid out over `pairs`."""
-    st, ss = 2 * pairs.index(t), 2 * pairs.index(s)
-    G = _raw_substitute(_raw_omega_power(terms, st, ss, r), ss, st)
+    """content * f(m,n;r) * Omega^r F with pair s merged into pair t, read
+    back over pairs, for the packed int terms F of orders (m,n) in (t,s)."""
+    G = _unpack(_raw_substitute(_raw_omega_power(terms, w, t, s, r), w, s, t), pairs, w)
     c = content * factor_f(m, n, r)
     num, den = c.numerator, c.denominator
     return MultiForm._make(pairs, {key: Fraction(v * num, den) for key, v in G.items()})
 
 
-def _derivative(form: MultiForm, pair: str, d1: int, d2: int) -> MultiForm:
-    if not d1 and not d2:
-        return form  # also an order-0 form, whose pair is pruned
-    s = 2 * form.pairs.index(pair)
+def _derivative(form: MultiForm, d1: int, d2: int) -> dict:
+    """The terms {(e1, e2): c} of a form in one pair differentiated d1 times
+    in its first variable and d2 times in its second; an order-0 form, whose
+    pair is pruned, included."""
     out = {}
     for key, c in form.terms.items():
-        e1, e2 = key[s], key[s + 1]
-        if e1 < d1 or e2 < d2:
-            continue
-        nk = list(key)
-        nk[s] = e1 - d1
-        nk[s + 1] = e2 - d2
-        out[tuple(nk)] = c * perm(e1, d1) * perm(e2, d2)
-    return MultiForm._make(form.pairs, out)
+        e1, e2 = key or (0, 0)
+        if e1 >= d1 and e2 >= d2:
+            out[(e1 - d1, e2 - d2)] = c * perm(e1, d1) * perm(e2, d2)
+    return out
 
 
 def transvect_derivative(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
-    """Derivative-sum route for (A,B)_r; internal oracle for transvect."""
+    """Derivative-sum route for (A,B)_r; internal oracle for transvect.
+
+    It multiplies the derivatives term by term and so shares none of the
+    raw kernels with transvect.
+    """
     if A.pair != B.pair:
         raise ValueError("forms are over different pairs")
     m, n = A.order, B.order
     if A.is_zero() or B.is_zero():
         return BinaryForm(A.pair, max(m + n - 2 * r, 0), MultiForm.zero())
     _check_index(m, n, r)
-    out_order = m + n - 2 * r
-    t = A.pair
-    total = MultiForm.zero()
+    total: dict = {}
     for i in range(r + 1):
-        piece = mul(_derivative(A.form, t, r - i, i), _derivative(B.form, t, i, r - i))
-        piece = scale(piece, comb(r, i))
-        total = add(total, piece if i % 2 == 0 else negate(piece))
-    return BinaryForm(t, out_order, scale(total, factor_f(m, n, r)))
+        c = -comb(r, i) if i % 2 else comb(r, i)
+        db = _derivative(B.form, i, r - i)
+        for (a1, a2), ca in _derivative(A.form, r - i, i).items():
+            for (b1, b2), cb in db.items():
+                key = (a1 + b1, a2 + b2)
+                total[key] = total.get(key, 0) + c * ca * cb
+    f = factor_f(m, n, r)
+    return BinaryForm(A.pair, m + n - 2 * r,
+                      MultiForm._make((A.pair,), {k: v * f for k, v in total.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +240,10 @@ def project_pi(F: MultiForm, m: int, n: int, r: int) -> MultiForm:
         return MultiForm.zero()
     if F.order("x") != m or F.order("y") != n:
         raise ValueError("order mismatch for pair 'x'/'y'")
-    pairs = tuple(sorted(set(F.pairs) | {"x", "y"}))
-    content, terms = _primitive(_aligned(F.terms, F.pairs, pairs))
-    return _project(content, terms, pairs, "x", "y", m, n, r)
+    w = _width(m + n, _top(F))
+    content, terms = _primitive(F.terms)
+    pairs = tuple(sorted(set(F.pairs) - {"y"} | {"x"}))
+    return _project(content, _pack(terms, F.pairs, w), w, pairs, "x", "y", m, n, r)
 
 
 def section_iota(C, m: int, n: int, r: int) -> MultiForm:

@@ -21,11 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt, perm
+from math import factorial, gcd, isqrt, perm
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polycore import PAIR_NAMES
+from .polycore import (
+    _key,
+    _raw_bracket_power,
+    _raw_mul,
+    _raw_omega_power,
+    _raw_polarize,
+    _raw_substitute,
+    _width,
+)
 from .transvectant import factor_h
 
 HalfIntLike = Union["HalfInt", int, str, Fraction]
@@ -274,136 +282,24 @@ def _require_triad(j1: int, j2: int, j: int, where: str) -> None:
 # the recoupling-tree engine: packed exponent keys, twice-values j
 # ---------------------------------------------------------------------------
 #
-# A chain's forms are dicts from packed keys to int coefficients.  A key
-# holds one exponent per slot (pair k has slots 2k and 2k+1) in a field of
-# w bits, slot s at bit s*w, so a product of monomials is one integer
-# addition (Monagan & Pearce, "Polynomial Division Using Dynamic Arrays,
-# Heaps, and Packed Exponent Vectors", CASC 2007).  Every exponent in a
-# chain is at most the order of its pair, one of the chain's twice-entries;
-# with w = (largest twice-entry).bit_length() no field carries into the
-# next.  polycore's kernels keep tuple keys for MultiForm: packing at that
-# boundary cost more than it saved.
-
-
-def _width(*entries: int) -> int:
-    """The field width of a chain whose pair orders are among entries."""
-    return max(entries).bit_length()
-
-
-def _offsets(w: int, name: str) -> Tuple[int, int]:
-    """The bit offsets of pair name's two exponent fields."""
-    s = 2 * PAIR_NAMES.index(name) * w
-    return s, s + w
-
-
-def _key(w: int, **exps: Tuple[int, int]) -> int:
-    """Packed key with the given (e1, e2) per pair name, zero elsewhere."""
-    key = 0
-    for name, (e1, e2) in exps.items():
-        o1, o2 = _offsets(w, name)
-        key += (e1 << o1) + (e2 << o2)
-    return key
-
-
-def _mul(t1: dict, t2: dict) -> dict:
-    out: dict = {}
-    get = out.get
-    for k1, c1 in t1.items():
-        for k2, c2 in t2.items():
-            key = k1 + k2
-            nc = get(key, 0) + c1 * c2
-            if nc:
-                out[key] = nc
-            else:
-                del out[key]
-    return out
-
-
-def _bracket_power(w: int, a: str, b: str, r: int) -> dict:
-    # (ab)^r = sum_k (-1)^k C(r,k) a1^(r-k) a2^k b1^k b2^(r-k)
-    (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
-    return {((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2):
-            -comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)}
-
-
-def _polarize(t: dict, w: int, src: str, dst: str, ell: int) -> dict:
-    # (dst . d/dsrc)^ell = sum_k C(ell,k) dst1^k dst2^(ell-k) dsrc1^k dsrc2^(ell-k)
-    if ell == 0:
-        return t
-    (s1, s2), (d1, d2) = _offsets(w, src), _offsets(w, dst)
-    mask = (1 << w) - 1
-    binoms = [comb(ell, k) for k in range(ell + 1)]
-    moves = [(k << d1) - (k << s1) + ((ell - k) << d2) - ((ell - k) << s2)
-             for k in range(ell + 1)]
-    out: dict = {}
-    get = out.get
-    for key, c in t.items():
-        e1, e2 = key >> s1 & mask, key >> s2 & mask
-        for k in range(max(0, ell - e2), min(ell, e1) + 1):
-            nk = key + moves[k]
-            nc = get(nk, 0) + c * binoms[k] * perm(e1, k) * perm(e2, ell - k)
-            if nc:
-                out[nk] = nc
-            else:
-                del out[nk]
-    return out
-
-
-def _omega_power(t: dict, w: int, a: str, b: str, r: int) -> dict:
-    # omega = d/da1 d/db2 - d/da2 d/db1, expanded to the r-th power in one
-    # pass: sum_k (-1)^k C(r,k) da1^(r-k) da2^k db1^k db2^(r-k)
-    if r == 0:
-        return t
-    (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
-    mask = (1 << w) - 1
-    binoms = [-comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)]
-    moves = [((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2) for k in range(r + 1)]
-    out: dict = {}
-    get = out.get
-    for key, c in t.items():
-        ea1, ea2 = key >> a1 & mask, key >> a2 & mask
-        eb1, eb2 = key >> b1 & mask, key >> b2 & mask
-        for k in range(max(0, r - ea1, r - eb2), min(r, ea2, eb1) + 1):
-            i = r - k
-            nk = key - moves[k]
-            nc = get(nk, 0) + (c * binoms[k] * perm(ea1, i) * perm(ea2, k)
-                               * perm(eb1, k) * perm(eb2, i))
-            if nc:
-                out[nk] = nc
-            else:
-                del out[nk]
-    return out
-
-
-def _substitute(t: dict, w: int, src: str, dst: str) -> dict:
-    # merge pair src into pair dst, zeroing the src fields
-    (s1, s2), (d1, d2) = _offsets(w, src), _offsets(w, dst)
-    mask = (1 << w) - 1
-    m1, m2 = (1 << d1) - (1 << s1), (1 << d2) - (1 << s2)
-    out: dict = {}
-    get = out.get
-    for key, c in t.items():
-        nk = key + (key >> s1 & mask) * m1 + (key >> s2 & mask) * m2
-        nc = get(nk, 0) + c
-        if nc:
-            out[nk] = nc
-        else:
-            del out[nk]
-    return out
+# A chain's forms are dicts from polycore's packed keys to int coefficients,
+# run through polycore's raw kernels.  Every exponent in a chain is at most
+# the order of its pair, one of the chain's twice-entries; with
+# w = _width(twice-entries) no field carries into the next.
 
 
 def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
     """Split pair src, of order j, into pairs a and b of orders ja and jb."""
-    t = _polarize(t, w, src, a, (ja + j - jb) // 2)
-    t = _polarize(t, w, src, b, (jb + j - ja) // 2)
+    t = _raw_polarize(t, w, src, a, (ja + j - jb) // 2)
+    t = _raw_polarize(t, w, src, b, (jb + j - ja) // 2)
     r = (ja + jb - j) // 2
-    return _mul(t, _bracket_power(w, a, b, r)) if r else t
+    return _raw_mul(t, _raw_bracket_power(w, a, b, r)) if r else t
 
 
 def _merge(t: dict, w: int, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
     """Couple pairs a and b, of orders ja and jb, to order jab in pair dst."""
-    t = _omega_power(t, w, a, b, (ja + jb - jab) // 2)
-    return _substitute(_substitute(t, w, a, dst), w, b, dst)
+    t = _raw_omega_power(t, w, a, b, (ja + jb - jab) // 2)
+    return _raw_substitute(_raw_substitute(t, w, a, dst), w, b, dst)
 
 
 def _chain_scalar(t: dict, w: int, j: int) -> int:

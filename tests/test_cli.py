@@ -367,6 +367,12 @@ class TestMainInProcess:
              "syzygy verify takes --m and --n of at most 10"),
             (["syzygy", "verify", "--m", "5", "--n", "3", "--r", "2", "--trials", "13"],
              "syzygy verify takes --trials of at most 12"),
+            (["syzygy", "verify", "--m", "5", "--n", "3", "--r", "2", "--trials", "0"],
+             "syzygy verify takes --trials of at least 1"),
+            (["verify", "--suite", "syzygy", "--trials", "0"],
+             "verify takes --trials of at least 1"),
+            (["verify", "--suite", "syzygy", "--trials", "13"],
+             "verify takes --trials of at most 12"),
             (["reconstruct", "--m", "13", "--n", "2", "--u0", "{}", "--u1", "{}"],
              "reconstruct takes --m and --n of at most 12"),
         ):

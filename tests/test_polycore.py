@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
-from math import gcd
+from itertools import product
+from math import comb, gcd, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -168,14 +169,64 @@ def test_linear_substitute_expands():
 
 def test_polarization_of_linear_powers():
     # (y d/dx)^l (c.x)^m = m!/(m-l)! (c.x)^(m-l) (c.y)^l for l <= m <= 6
-    from math import perm
-
     c = (2, -3)
     for m in range(7):
         fx = pair_power("x", c, m)
         for ell in range(m + 1):
             expected = scale(mul(pair_power("x", c, m - ell), pair_power("y", c, ell)), perm(m, ell))
             assert polarize(fx, "x", "y", ell) == expected, (m, ell)
+
+
+# -- packed-key field boundaries ---------------------------------------------
+#
+# The kernels pack exponents into fields whose width is the bit length of
+# the largest exponent an operation can produce; each case below makes some
+# exponent 2^k - 1 or 2^k.  The oracles share no kernel: the inputs are
+# expanded by the binomial theorem, and the outputs are compared by
+# `evaluate` with closed forms on linear powers.
+
+C, D = (2, -3), (1, 4)
+PT = {"x": (3, 1), "y": (-1, 2)}
+
+
+def _dot(c, pair):
+    return c[0] * PT[pair][0] + c[1] * PT[pair][1]
+
+
+def linear_powers(**powers):
+    """prod over pairs p of (c1*p1 + c2*p2)^e, for powers p=(c, e)."""
+    pairs = sorted(powers)
+    expansions = []
+    for name in pairs:
+        (c1, c2), e = powers[name]
+        expansions.append([((e - k, k), comb(e, k) * c1 ** (e - k) * c2 ** k) for k in range(e + 1)])
+    terms = {sum((key for key, _ in picks), ()): prod(c for _, c in picks)
+             for picks in product(*expansions)}
+    return MultiForm({name: powers[name][1] for name in pairs}, terms)
+
+
+@pytest.mark.parametrize("e", (7, 8, 15, 16, 31, 32, 63, 64))
+def test_kernels_at_field_boundaries(e):
+    h = e // 2
+    f, g = linear_powers(x=(C, h), y=(D, 1)), linear_powers(x=(D, e - h), y=(C, 2))
+    assert evaluate(mul(f, g), PT) == evaluate(f, PT) * evaluate(g, PT)
+    # (y d/dx)^l (c.x)^a (c.y)^b = a!/(a-l)! (c.x)^(a-l) (c.y)^(b+l), with b+l = e
+    f = linear_powers(x=(C, h), y=(C, e - h))
+    assert evaluate(polarize(f, "x", "y", h), PT) == perm(h, h) * _dot(C, "y") ** e
+    f = linear_powers(x=(C, e))
+    assert evaluate(polarize(f, "x", "y", h), PT) == \
+        perm(e, h) * _dot(C, "x") ** (e - h) * _dot(C, "y") ** h
+    # Omega^r (c.x)^a (d.y)^b = a!/(a-r)! b!/(b-r)! [c d]^r (c.x)^(a-r) (d.y)^(b-r)
+    f = linear_powers(x=(C, e), y=(D, h))
+    cd = C[0] * D[1] - C[1] * D[0]
+    assert evaluate(omega_power(f, "x", "y", h), PT) == \
+        perm(e, h) * perm(h, h) * cd ** h * _dot(C, "x") ** (e - h)
+    # merging y into x puts exponents of sum e in the x fields
+    f = linear_powers(x=(C, h), y=(D, e - h))
+    assert evaluate(substitute_pair(f, "y", "x"), {"x": PT["x"]}) == \
+        _dot(C, "x") ** h * _dot(D, "x") ** (e - h)
+    (x1, x2), (y1, y2) = PT["x"], PT["y"]
+    assert evaluate(bracket_power("x", "y", e), PT) == (x1 * y2 - x2 * y1) ** e
 
 
 # -- JSON -------------------------------------------------------------------

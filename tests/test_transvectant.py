@@ -114,7 +114,10 @@ class TestTransvect:
         with pytest.raises(ValueError, match="different pairs"):
             transvect(A, B, 1)
 
-    @pytest.mark.parametrize("m,n", [(3, 2), (4, 4), (5, 3)])
+    # besides small orders, m+n = 2^k - 1 and 2^k for k = 3..6, where the
+    # packed exponent fields of transvect reach their width
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 4), (5, 3), (4, 3), (8, 7), (8, 8), (16, 15),
+                                     (16, 16), (32, 31), (32, 32), (63, 1)])
     def test_derivative_route_agrees(self, m, n):
         rng = seeding.stream(7, "routes", m, n)
         A, B = _rand(m, rng), _rand(n, rng)
@@ -221,7 +224,11 @@ class TestJacobianExchange:
 
 def _fraction_omega_route(A, B, r):
     """f(m,n;r) * Omega^r A(t) B(s) with s merged back into t, on Fraction
-    MultiForms: the route transvect took before it split off contents."""
+    MultiForms: the route transvect took before it split off contents.
+
+    The MultiForm operations share the polycore kernels with transvect, so
+    this oracle checks the content split and the packing, not the kernels;
+    transvect_derivative is the route that shares no kernel."""
     if A.is_zero() or B.is_zero():
         return MultiForm.zero()
     m, n, t = A.order, B.order, A.pair
