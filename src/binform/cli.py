@@ -120,12 +120,20 @@ def _parse_rationals(text: str, flag: str) -> list:
 
 
 def _parse_form(text: str, flag: str, order: int, convention: str) -> BinaryForm:
+    """A form given as a JSON object or as order + 1 inline coefficients."""
     text = text.strip()
     if text.startswith("{"):
-        return BinaryForm.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+        try:
+            return BinaryForm.from_json_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
     coeffs = _parse_rationals(text, flag)
     if len(coeffs) != order + 1:
-        raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
+        raise ValueError(f"{flag}: expected {order + 1} coefficients, got {len(coeffs)}")
     return BinaryForm.from_coeffs(coeffs, convention=convention)
 
 
@@ -221,8 +229,8 @@ def _cmd_syzygy(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     _require_orders(args, _MAX_RECONSTRUCT_ORDER, "reconstruct")
-    u0 = BinaryForm.from_json_dict(json.loads(args.u0))
-    u1 = BinaryForm.from_json_dict(json.loads(args.u1))
+    u0 = _parse_form(args.u0, "--u0", args.m + args.n, "monomial")
+    u1 = _parse_form(args.u1, "--u1", args.m + args.n - 2, "monomial")
     forms = reconstruct(u0, u1, args.m, args.n)
     payload = {"m": args.m, "n": args.n,
                "transvectants": [f.to_json_dict() for f in forms]}
@@ -245,16 +253,16 @@ _MAX_SIXJ_TWICE = 128
 _MAX_NINEJ_TWICE = 40
 
 # Caps on the orders of the form commands and on the --trials of `syzygy
-# verify` and `verify`, measured the same way.  `transvect` with
-# m = n = 110 and r = 55 (coefficients p/q with |p| < 100 and q <= 20) takes
-# 0.83 s, and with m = n = 120 1.2 s.  The `syzygy` table at m = n = r = 18,
-# point (7, 0), the costliest point, takes 0.92 s; at order 20, point
-# (7, 1), 2.4 s.
-# `syzygy verify` at m = n = r = 10 with 12 trials takes 0.9-1.1 s at every
-# lattice point and for the closed form, and with 20 trials 1.5 s.
-# `verify --suite syzygy` takes 5.6 s at the default 5 trials and 10.7 s at
-# 12, about linear in the trials.
-# `reconstruct` at m = n = 12 takes 0.76 s, at 13 1.1 s and at 14 1.3 s.
+# verify` and `verify`, set where the costliest inputs found took about 1 s
+# before transvect, verify_table, reconstruct and kappa moved to int sums and
+# the Leibniz kernel.  Timed since then, start-up included, on 2 shared cores
+# with Python 3.11 (before in brackets): `transvect` with m = n = 110 and
+# r = 55, coefficients (k % 7 - 3)/(k % 5 + 1), 0.25 s (0.70 s); the `syzygy`
+# table at m = n = r = 18, point (7, 0), the costliest point, 0.41 s (1.06 s);
+# `syzygy verify` at m = n = r = 10 with 12 trials 0.29-0.41 s at every
+# lattice point and for the closed form (0.55-1.01 s); `reconstruct` at
+# m = n = 12 0.34 s (0.75 s); `verify --suite syzygy` 1.6 s at the default 5
+# trials and 2.7 s at 12 (5.2 and 10.3 s).
 _MAX_TRANSVECT_ORDER = 110
 _MAX_SYZYGY_ORDER = 18
 _MAX_VERIFY_ORDER = 10
@@ -437,8 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recover higher transvectants from the first two")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u0", required=True, help="JSON of the order-(m+n) form")
-    p.add_argument("--u1", required=True, help="JSON of the order-(m+n-2) form")
+    p.add_argument("--u0", required=True,
+                   help="the order-(m+n) form, as JSON or inline coefficients")
+    p.add_argument("--u1", required=True,
+                   help="the order-(m+n-2) form, as JSON or inline coefficients")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("ninej", parents=[common], help="9-j symbol")

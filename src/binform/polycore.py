@@ -8,9 +8,10 @@ ring operations this module provides the differential operators that drive
 everything else in the package: the omega operator (the 2x2 polarization
 determinant), single-pair polarization, bracket monomials, pair
 substitution, and exact division.  The operators and the product run on
-one set of raw kernels over packed int exponent keys, which transvectants
-and the 9-j operator chain share; a MultiForm packs its tuple keys at that
-boundary.
+one set of raw kernels over packed int exponent keys, which the 9-j
+operator chain and the transvectant projection share; a MultiForm packs
+its tuple keys at that boundary.  Transvectants of two binary forms run on
+their own dense Leibniz kernel in the transvectant module.
 
 All values are immutable and all operations are pure: inputs are never
 mutated and equal inputs give equal outputs.
@@ -39,8 +40,8 @@ def _check_pair(name: str) -> None:
 # ---------------------------------------------------------------------------
 # Raw kernels.
 #
-# The heavy pipelines (the 9-j operator chain, transvectants, the MultiForm
-# operations) run on plain dicts from packed exponent keys to coefficients.
+# The heavy pipelines (the 9-j operator chain, the transvectant projection,
+# the MultiForm operations) run on plain dicts from packed exponent keys to coefficients.
 # A key holds one exponent per slot (pair k of PAIR_NAMES has slots 2k and
 # 2k+1) in a field of w bits, slot s at bit s*w, so a product of monomials
 # is one integer addition (Monagan & Pearce, "Polynomial Division Using
@@ -50,8 +51,8 @@ def _check_pair(name: str) -> None:
 # boundary with `_pack` and unpack with `_unpack`.  When the coefficients
 # are ints the arithmetic stays in ints, which is several times faster than
 # Fraction; `_primitive` splits rational terms into a content and integer
-# terms so that callers can feed the kernels ints and apply the content once
-# at the end.  Kernels never mutate their input, and a zero power returns
+# terms so that callers, this module's kernels and transvectant's alike, can
+# feed their kernels ints and apply the content once at the end.  Kernels never mutate their input, and a zero power returns
 # the input itself.
 # ---------------------------------------------------------------------------
 

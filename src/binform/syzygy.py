@@ -17,12 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import seeding
-from .polycore import MultiForm, _primitive, _raw_add_into, add, exact_divide, mul, negate, scale
-from .transvectant import BinaryForm, random_binary_form, transvect
+from .polycore import MultiForm, _primitive, add, exact_divide, mul, negate, scale
+from .transvectant import (
+    BinaryForm,
+    _from_ints,
+    _split,
+    _transvect_ints,
+    random_binary_form,
+    transvect,
+)
 from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain, _prime_list
 
 LatticePoint = Tuple[int, int]
@@ -60,6 +67,28 @@ def kappa_support(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Li
     return pts
 
 
+def _factor_weights(values: set, nums: tuple, dens: tuple) -> tuple:
+    """({v: w_v}, D) for the index values v of one summation variable, with
+    w_v / D = (-1)^v prod (c + d v)! / prod (c' + d' v)! over the (c, d) in
+    nums and the (c', d') in dens, d = +-1: each denominator factorial is
+    written as perm(M, M - arg) / M! with M its largest arg over the
+    values, and D is the product of those M!."""
+    lo, hi = min(values), max(values)
+    tops = [c + d * (hi if d > 0 else lo) for c, d in dens]
+    out = {}
+    for v in values:
+        w = -1 if v & 1 else 1
+        for c, d in nums:
+            w *= factorial(c + d * v)
+        for (c, d), top in zip(dens, tops):
+            w *= perm(top, top - c - d * v)
+        out[v] = w
+    D = 1
+    for top in tops:
+        D *= factorial(top)
+    return out, D
+
+
 def kappa(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
     """Syzygy coefficient kappa_ij at lattice point p, by the triple sum."""
     a, b = p
@@ -76,26 +105,34 @@ def kappa(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
         * f(m + n - r + i - j) * f(m + n - r - i + j)
         * f(2 * m + 2 * n - r - i - j + 1) * f(2 * m - 4 * a - 2) * f(2 * n - 4 * b - 2)
     )
-    total = Fraction(0)
-    for x, y, z in kappa_support(m, n, r, i, j, p):
-        t1 = (
-            f(n - x) * f(m - j + x) * f(n - 2 * b - 1 + x)
-            * f(m - 2 * a - 1 + y) * f(r - 2 * a - 2 * b - 2 + y)
-            * f(m + n - 2 * i - z) * f(m + n - r + i - j + z)
-            * f(n - i + 2 * a + 1 - y - z)
-        )
-        t2 = (
-            f(x) * f(y) * f(z) * f(n - j - x) * f(n - 2 * b - 1 - x)
-            * f(2 * a + 1 - y) * f(2 * m - 4 * a - 1 + y)
-            * f(2 * n - r + 2 * a - 2 * b - y) * f(n - i - z) * f(r - i - j - z)
-            * f(m + n - i + 1 - z) * f(m - r + i + x + z)
-            * f(-n + r - 2 * a - 1 + x + y)
-        )
-        term = Fraction(t1, t2)
-        total += -term if (x + y + z) % 2 else term
+    pts = kappa_support(m, n, r, i, j, p)
+    if not pts:
+        return Fraction(0)
+    # The x-, y- and z-only factors, sign included, become int weights over
+    # one common denominator: a denominator factorial arg! is perm(M, M - arg)
+    # / M! with M its largest arg over the support.  The xz and xy
+    # denominators are written the same way; they and the yz numerator are
+    # the only factors left in the loop.
+    wx, dx = _factor_weights({x for x, _, _ in pts},
+                             ((n, -1), (m - j, 1), (n - 2 * b - 1, 1)),
+                             ((0, 1), (n - j, -1), (n - 2 * b - 1, -1)))
+    wy, dy = _factor_weights({y for _, y, _ in pts},
+                             ((m - 2 * a - 1, 1), (r - 2 * a - 2 * b - 2, 1)),
+                             ((0, 1), (2 * a + 1, -1), (2 * m - 4 * a - 1, 1),
+                              (2 * n - r + 2 * a - 2 * b, -1)))
+    wz, dz = _factor_weights({z for _, _, z in pts},
+                             ((m + n - 2 * i, -1), (m + n - r + i - j, 1)),
+                             ((0, 1), (n - i, -1), (r - i - j, -1), (m + n - i + 1, -1)))
+    cxz, cxy = m - r + i, -n + r - 2 * a - 1
+    exz = cxz + max(x + z for x, _, z in pts)
+    exy = cxy + max(x + y for x, y, _ in pts)
+    total = 0
+    for x, y, z in pts:
+        total += (wx[x] * wy[y] * wz[z] * f(n - i + 2 * a + 1 - y - z)
+                  * perm(exz, exz - cxz - x - z) * perm(exy, exy - cxy - x - y))
     if (n - j) % 2:
         total = -total
-    return Fraction(n1, n2) * total
+    return Fraction(n1 * total, n2 * dx * dy * dz * f(exz) * f(exy))
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +313,39 @@ def _sample_pair(m: int, n: int, seed: int, trial: int, symbolic: bool):
     return entry
 
 
+def _normalised(content, ints: list) -> tuple:
+    """content * ints as (content, primitive int list); zero gives (0, [])."""
+    g, prim = _primitive(dict(enumerate(ints)))
+    return content * g, list(prim.values())
+
+
 def _pair_transvectant(entry, i: int, j: int, s: int) -> tuple:
-    """(u_i, u_j)_s of the entry's pair as (content, int terms in pair x)."""
+    """(u_i, u_j)_s of the entry's pair as (content, primitive int list),
+    with u_i and u_j cached the same way."""
     A, B, us, pairs = entry
     hit = pairs.get((i, j, s))
     if hit is not None:
         return hit
+    m, n = A.order, B.order
     for k in (i, j):
         if k not in us:
-            us[k] = transvect(A, B, k)
-    val = _primitive(transvect(us[i], us[j], s).form.terms)
+            us[k] = _normalised(*_transvect_ints(*_split(A), *_split(B), m, n, k))
+    val = _normalised(*_transvect_ints(*us[i], *us[j], m + n - 2 * i, m + n - 2 * j, s))
     pairs[(i, j, s)] = val
     return val
+
+
+def _int_sum(parts: list, size: int) -> tuple:
+    """(L, acc) with sum f * terms == acc / L over the (f, terms) in parts,
+    f rational and terms an int list of length size, or empty when f is 0;
+    L is the one common denominator of the f."""
+    L = lcm(*(f.denominator for f, _ in parts))
+    acc = [0] * size
+    for f, terms in parts:
+        scaled = f.numerator * (L // f.denominator)
+        for k, v in enumerate(terms):
+            acc[k] += scaled * v
+    return L, acc
 
 
 def verify_table(table: SyzygyTable, trials: int, seed: int, symbolic: bool = False) -> VerifyResult:
@@ -297,8 +355,8 @@ def verify_table(table: SyzygyTable, trials: int, seed: int, symbolic: bool = Fa
     Each trial scales the int terms of every (u_i, u_j)_{r-i-j} by its
     theta_ij times content, written over the one common denominator L of
     those factors, and sums them as ints: the residual is zero exactly
-    when that int sum is empty.  A failing trial reports the residual as
-    the int sum over L.
+    when every entry of that int sum is.  A failing trial reports the
+    residual as the int sum over L.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -311,15 +369,10 @@ def verify_table(table: SyzygyTable, trials: int, seed: int, symbolic: bool = Fa
         for (i, j), c in table.coeffs.items():
             if c:
                 content, terms = _pair_transvectant(entry, i, j, r - i - j)
-                if terms:
-                    parts.append((Fraction(c) * content, terms))
-        L = lcm(*(f.denominator for f, _ in parts))
-        acc: dict = {}
-        for f, terms in parts:
-            _raw_add_into(acc, terms, f.numerator * (L // f.denominator))
-        if acc:
-            pairs = ("x",) if len(next(iter(acc))) else ()  # order 0 keys are ()
-            residual = MultiForm._make(pairs, {k: Fraction(v, L) for k, v in acc.items()})
+                parts.append((Fraction(c) * content, terms))
+        L, acc = _int_sum(parts, 2 * (m + n - r) + 1)
+        if any(acc):
+            residual = _from_ints("x", Fraction(1, L), acc).form
             return VerifyResult(False, trials, failed_trial=t,
                                 reason="nonzero residual", residual=residual)
     return VerifyResult(True, trials)
@@ -343,24 +396,27 @@ def reconstruct(u0: BinaryForm, u1: BinaryForm, m: int, n: int,
         raise ValueError(f"order mismatch: expected orders {m + n} and {m + n - 2}")
     if u0.is_zero():
         raise ValueError("inputs are not transvectants of a common pair")
-    us = [u0, u1]
+    us = [_split(u0), _split(u1)]
     out = []
     for r in range(2, min(m, n) + 1):
         tab = vartheta_table(m, n, r, point)
         th = tab.coeffs[(0, r)]
         if th == 0:
             raise ValueError(f"syzygy at point {point} cannot isolate weight {r}")
-        acc = MultiForm.zero()
+        parts = []
         for (i, j), c in tab.coeffs.items():
-            if (i, j) == (0, r) or c == 0:
-                continue
-            acc = add(acc, scale(transvect(us[i], us[j], r - i - j).form, c))
+            if (i, j) != (0, r) and c:
+                content, terms = _transvect_ints(*us[i], *us[j], m + n - 2 * i,
+                                                 m + n - 2 * j, r - i - j)
+                parts.append((c * content, terms))
+        # theta_0r u_0 u_r = -sum theta_ij (u_i, u_j)_{r-i-j} = -acc / L
+        L, acc = _int_sum(parts, 2 * (m + n - r) + 1)
         try:
-            q = exact_divide(scale(acc, Fraction(-1, 1) / th), u0.form)
+            q = exact_divide(_from_ints(u0.pair, Fraction(-1, L) / th, acc).form, u0.form)
         except ValueError:
             raise ValueError("inputs are not transvectants of a common pair") from None
         ur = BinaryForm(u0.pair, m + n - 2 * r, q)
-        us.append(ur)
+        us.append(_split(ur))
         out.append(ur)
     return out
 

@@ -1,14 +1,17 @@
 """Transvectants of binary forms and the maps that factor them.
 
 A transvectant of index r pairs two binary forms of orders m and n into a
-form of order m+n-2r.  The production route forms A(x)*B(y), applies the
-omega operator r times, merges y back into x, and rescales, all in ints on
-the primitive parts of A and B with their contents applied once at the end;
-an independent derivative-sum route in Fractions is kept as an internal
-oracle.  The module also provides the projection/section pair between the
-tensor space and each transvectant summand, the scaling factors tying them
-together, and an exchange identity on Jacobians used by the imbedding
-argument.
+form of order m+n-2r.  The production route expands Omega^r on A(x)B(y) by
+the Leibniz rule into r+1 products of derivatives of A and of B, each a
+convolution of two dense int coefficient lists (Olver, Classical Invariant
+Theory, 1999, ch. 5), on the primitive parts of A and B with their contents
+applied once at the end; the syzygy module runs the same kernel on its own
+int coefficient lists.  An independent derivative-sum route in Fractions is
+kept as an internal oracle.  The module also provides the projection/section
+pair between the tensor space and each transvectant summand, whose
+projection runs polycore's omega and substitution kernels, the scaling
+factors tying them together, and an exchange identity on Jacobians used by
+the imbedding argument.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .polycore import (
     MultiForm,
     _pack,
     _primitive,
-    _raw_mul,
     _raw_omega_power,
     _raw_substitute,
     _top,
@@ -157,13 +159,55 @@ def factor_g(m: int, n: int, r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _split(A: BinaryForm) -> tuple:
+    """(content, dense primitive int coefficients of A indexed by x2-exponent);
+    a zero form gives content 0."""
+    content, ints = _primitive(A.form.terms)
+    a = [0] * (A.order + 1)
+    for key, v in ints.items():
+        a[key[1] if key else 0] = v  # an order-0 form's key is ()
+    return content, a
+
+
+def _from_ints(pair: str, content, ints: list) -> BinaryForm:
+    """The binary form content * sum ints[k] x1^(N-k) x2^k, N = len(ints) - 1."""
+    N = len(ints) - 1
+    num, den = content.numerator, content.denominator
+    return BinaryForm(pair, N, MultiForm._make(
+        (pair,), {(N - k, k): Fraction(v * num, den) for k, v in enumerate(ints) if v}))
+
+
+def _transvect_ints(ca, a: list, cb, b: list, m: int, n: int, r: int) -> tuple:
+    """(c, t) with (ca*A, cb*B)_r = c * sum t[k] x1^(N-k) x2^k, N = m+n-2r,
+    for the dense int coefficient lists a and b of orders m and n.
+
+    Leibniz route: Omega^r = sum_k (-1)^k C(r,k) dx1^(r-k) dx2^k dy1^k dy2^(r-k),
+    so t is the sum over k of the convolution of the (r-k, k) derivative of
+    A with the (k, r-k) derivative of B; each row of the first carries its
+    signed binomial once, and c = ca * cb * f(m,n;r).  A zero content gives
+    (0, []).
+    """
+    if not (ca and cb):
+        return 0, []
+    t = [0] * (m + n - 2 * r + 1)
+    for k in range(r + 1):
+        sb = -comb(r, k) if k & 1 else comb(r, k)
+        # x1^(m-i) x2^i differentiated (r-k, k) times lands at x2-exponent i-k
+        da = [sb * a[i] * perm(m - i, r - k) * perm(i, k) for i in range(k, m - r + k + 1)]
+        db = [b[i] * perm(n - i, k) * perm(i, r - k) for i in range(r - k, n - k + 1)]
+        db = [(l, y) for l, y in enumerate(db) if y]
+        for j, x in enumerate(da):
+            if x:
+                for l, y in db:
+                    t[j + l] += x * y
+    return ca * cb * factor_f(m, n, r), t
+
+
 def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     """The r-th transvectant (A,B)_r, of order m+n-2r.
 
-    Omega route: f(m,n;r) * [Omega^r A(x)B(y)] with y merged back into x.
-    It runs on content times primitive part: the raw kernels see only the
-    int coefficients of A and B, packed in fields wide enough for order
-    m+n, and the contents c_A * c_B meet f(m,n;r) once per output term.
+    Runs `_transvect_ints` on the content and primitive part of A and of
+    B, then builds one Fraction per output term.
     """
     if A.pair != B.pair:
         raise ValueError("forms are over different pairs")
@@ -171,13 +215,7 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     if A.is_zero() or B.is_zero():
         return BinaryForm(A.pair, max(m + n - 2 * r, 0), MultiForm.zero())
     _check_index(m, n, r)
-    t = A.pair
-    s = _partner(t)
-    w = _width(m + n)
-    ca, a = _primitive(A.form.terms)
-    cb, b = _primitive(B.form.terms)
-    F = _raw_mul(_pack(a, (t,), w), _pack(b, (s,), w))
-    return BinaryForm(t, m + n - 2 * r, _project(ca * cb, F, w, (t,), t, s, m, n, r))
+    return _from_ints(A.pair, *_transvect_ints(*_split(A), *_split(B), m, n, r))
 
 
 def _project(content: Fraction, terms: dict, w: int, pairs: tuple, t: str, s: str,

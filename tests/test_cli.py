@@ -192,6 +192,26 @@ class TestReconstruct:
         assert r.returncode == 2
         assert "'coeffs'" in r.stderr
 
+    def test_inline_coefficients(self, capsys):
+        argv = ["reconstruct", "--m", "3", "--n", "2",
+                "--u0", "2 5 3 4 1 1", "--u1", "-5/6 4/3 -2/3 -1/2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "u_2: 1/3 8/3"
+
+    def test_form_errors_name_their_flag(self, capsys):
+        recon = ["reconstruct", "--m", "3", "--n", "2"]
+        tv = ["transvect", "--m", "2", "--n", "2", "--r", "1"]
+        for argv, message in (
+            (recon + ["--u0", "1 2 3", "--u1", "1 2 3 4"], "--u0: expected 6 coefficients, got 3"),
+            (recon + ["--u0", "2 5 3 4 1 1", "--u1", "1 2"], "--u1: expected 4 coefficients, got 2"),
+            (recon + ["--u0", "{bad", "--u1", "1 2 3 4"], "--u0 is not valid JSON"),
+            (recon + ["--u0", "{}", "--u1", "{}"], "--u0: serialized form needs a field 'coeffs'"),
+            (tv + ["--A", "{bad", "--B", "1 0 1"], "--A is not valid JSON"),
+            (tv + ["--A", "1 0 1", "--B", '{"coeffs": ["1/0"]}'], "--B: serialized form"),
+        ):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
 
 class TestWignerCommands:
     def test_threej(self):
@@ -404,6 +424,7 @@ class TestMainInProcess:
 _FUZZED = {
     "--A": lambda t: ["transvect", "--m", "2", "--n", "2", "--r", "1",
                       f"--A={t}", "--B", "0 1 0"],
+    "--u0": lambda t: ["reconstruct", "--m", "2", "--n", "2", f"--u0={t}", "--u1", "0 1 0"],
     "--j": lambda t: ["threej", f"--j={t}", "--m", "0 0 0"],
     "--m": lambda t: ["threej", "--j", "1 1 1", f"--m={t}"],
     "--js": lambda t: ["sixj", f"--js={t}"],

@@ -1,7 +1,8 @@
 """Syzygy coefficient tables: both computation routes plus verification."""
 
+import hashlib
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -21,7 +22,7 @@ from binform.syzygy import (
     vartheta_table,
     verify_table,
 )
-from binform.syzygy import _sample_pair
+from binform.syzygy import _check_admissible, _sample_pair
 from binform.transvectant import BinaryForm, random_binary_form, transvect, transvect_derivative
 
 GRIDS = [(5, 3, 2), (5, 3, 3), (7, 5, 4), (8, 6, 5), (6, 6, 4)]
@@ -58,6 +59,51 @@ class TestPiSet:
             assert count == len(pi_set(m, n, r)), (m, n, r)
 
 
+def _kappa_per_term(m, n, r, i, j, p):
+    """kappa by its triple sum with one Fraction per support point: the
+    route kappa took before it summed ints over one common denominator."""
+    a, b = p
+    _check_admissible(m, n, r, i, j, a, b)
+    f = factorial
+    n1 = (
+        f(m + n - 2 * i + 1) * f(m + n - 2 * j + 1) * f(2 * m - 2 * a)
+        * f(2 * a + 1) * f(m - 2 * a - 1) * f(n - 2 * b - 1)
+        * f(2 * m - r - 2 * a + 2 * b) * f(2 * n - r + 2 * a - 2 * b)
+        * f(2 * m + 2 * n - r - 2 * a - 2 * b - 1)
+    )
+    n2 = (
+        f(j) * f(m - i) * f(m - j) * f(m + n - j + 1)
+        * f(m + n - r + i - j) * f(m + n - r - i + j)
+        * f(2 * m + 2 * n - r - i - j + 1) * f(2 * m - 4 * a - 2) * f(2 * n - 4 * b - 2)
+    )
+    total = F(0)
+    for x, y, z in kappa_support(m, n, r, i, j, p):
+        t1 = (
+            f(n - x) * f(m - j + x) * f(n - 2 * b - 1 + x)
+            * f(m - 2 * a - 1 + y) * f(r - 2 * a - 2 * b - 2 + y)
+            * f(m + n - 2 * i - z) * f(m + n - r + i - j + z)
+            * f(n - i + 2 * a + 1 - y - z)
+        )
+        t2 = (
+            f(x) * f(y) * f(z) * f(n - j - x) * f(n - 2 * b - 1 - x)
+            * f(2 * a + 1 - y) * f(2 * m - 4 * a - 1 + y)
+            * f(2 * n - r + 2 * a - 2 * b - y) * f(n - i - z) * f(r - i - j - z)
+            * f(m + n - i + 1 - z) * f(m - r + i + x + z)
+            * f(-n + r - 2 * a - 1 + x + y)
+        )
+        term = F(t1, t2)
+        total += -term if (x + y + z) % 2 else term
+    if (n - j) % 2:
+        total = -total
+    return F(n1, n2) * total
+
+
+def _kappa_tuples(orders):
+    return [(m, n, r, i, j, p) for m in orders for n in orders
+            for r in range(2, min(m, n) + 1) for p in pi_set(m, n, r)
+            for i in range(r + 1) for j in range(r - i + 1)]
+
+
 class TestKappa:
     def test_inadmissible(self):
         with pytest.raises(ValueError, match="inadmissible lattice point"):
@@ -85,6 +131,16 @@ class TestKappa:
     def test_single_support_triple_at_top(self, m, n, r):
         assert kappa_support(m, n, r, 0, r, (0, 0)) == [(n - r, 1, 0)]
         assert kappa(m, n, r, 0, r, (0, 0)) != 0
+
+    def test_per_term_oracle_up_to_order_nine(self):
+        for t in _kappa_tuples(range(2, 10)):
+            assert kappa(*t) == _kappa_per_term(*t), t
+
+    def test_per_term_oracle_on_a_sample_at_order_twelve(self):
+        top = [t for t in _kappa_tuples(range(2, 13)) if 12 in t[:2]]
+        rng = seeding.stream(17, "kappa-per-term")
+        for t in rng.sample(top, 150):
+            assert kappa(*t) == _kappa_per_term(*t), t
 
     def test_nonzero_anchor_coefficient_larger_grid(self):
         for m in range(2, 11):
@@ -218,18 +274,26 @@ class TestVerifyTable:
 
     def test_perturbed_table_fails(self):
         t = vartheta_table(5, 3, 2, (0, 0))
-        bad = SyzygyTable(5, 3, 2, (0, 0), {**t.coeffs, (0, 1): t.coeffs[(0, 1)] + 1})
-        res = verify_table(bad, 3, seed=7)
-        assert not res.passed
-        assert res.reason == "nonzero residual"
-        assert res.residual is not None and not res.residual.is_zero()
-        # the residual is the Fraction sum of theta_ij (u_i, u_j)_{r-i-j}
-        A, B, _, _ = _sample_pair(5, 3, 7, res.failed_trial, False)
-        expected = MultiForm.zero()
-        for (i, j), c in bad.coeffs.items():
-            u_i, u_j = transvect_derivative(A, B, i), transvect_derivative(A, B, j)
-            expected = add(expected, scale(transvect_derivative(u_i, u_j, 2 - i - j).form, c))
-        assert res.residual == expected
+        cases = [(SyzygyTable(5, 3, 2, (0, 0), {**t.coeffs, (0, 1): t.coeffs[(0, 1)] + 1}), False)]
+        # at m = n = r u_r has order 0, and the perturbed (u_0, u_r)_0 is a
+        # product with a constant
+        for m in (3, 4):
+            c = closed_form_table(m, m, m)
+            bad = SyzygyTable(m, m, m, c.point, {**c.coeffs, (0, m): c.coeffs[(0, m)] + 1})
+            cases += [(bad, False), (bad, True)]
+        for bad, symbolic in cases:
+            res = verify_table(bad, 3, seed=7, symbolic=symbolic)
+            assert not res.passed
+            assert res.reason == "nonzero residual"
+            assert res.residual is not None and not res.residual.is_zero()
+            # the residual is the Fraction sum of theta_ij (u_i, u_j)_{r-i-j}
+            A, B, _, _ = _sample_pair(bad.m, bad.n, 7, res.failed_trial, symbolic)
+            expected = MultiForm.zero()
+            for (i, j), c in bad.coeffs.items():
+                u_i, u_j = transvect_derivative(A, B, i), transvect_derivative(A, B, j)
+                expected = add(expected,
+                               scale(transvect_derivative(u_i, u_j, bad.r - i - j).form, c))
+            assert res.residual == expected
 
     def test_symbolic_mode(self):
         assert verify_table(vartheta_table(5, 3, 2, (0, 0)), 1, seed=0, symbolic=True).passed
@@ -332,3 +396,22 @@ def test_dimension_identity():
         for w2 in range(1, 21):
             lhs = comb(w1, 2) * comb(w2, 2) + comb(w1 + 1, 2) * comb(w2 + 1, 2)
             assert lhs == comb(w1 * w2 + 1, 2)
+
+
+def test_tables_and_reconstruction_pinned():
+    # sha256 over every vartheta_table and closed_form_table coefficient
+    # dict with 2 <= m, n <= 8, and over reconstruct on one seeded pair per
+    # (m, n), computed before kappa, verify_table and reconstruct moved to
+    # int sums and the Leibniz transvectant kernel
+    h = hashlib.sha256()
+    for m in range(2, 9):
+        for n in range(2, 9):
+            for r in range(2, min(m, n) + 1):
+                tables = [vartheta_table(m, n, r, p) for p in pi_set(m, n, r)]
+                for t in tables + [closed_form_table(m, n, r)]:
+                    h.update(repr(sorted(t.coeffs.items())).encode())
+            rng = seeding.stream(3, "recon-pin", m, n)
+            A, B = random_binary_form(m, rng), random_binary_form(n, rng)
+            for u in reconstruct(transvect(A, B, 0), transvect(A, B, 1), m, n):
+                h.update(repr(u.form).encode())
+    assert h.hexdigest() == "6b419861566e1898cebc7cab203fd4a7c96a915991523b9c8dbe564d4c0eaaa5"

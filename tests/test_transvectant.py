@@ -21,6 +21,8 @@ from binform.polycore import (
 )
 from binform.transvectant import (
     BinaryForm,
+    _split,
+    _transvect_ints,
     factor_f,
     factor_g,
     factor_h,
@@ -224,11 +226,11 @@ class TestJacobianExchange:
 
 def _fraction_omega_route(A, B, r):
     """f(m,n;r) * Omega^r A(t) B(s) with s merged back into t, on Fraction
-    MultiForms: the route transvect took before it split off contents.
+    MultiForms: the omega route transvect took before its Leibniz kernel.
 
-    The MultiForm operations share the polycore kernels with transvect, so
-    this oracle checks the content split and the packing, not the kernels;
-    transvect_derivative is the route that shares no kernel."""
+    It runs on polycore's packed-key kernels, which transvect does not call,
+    so it shares no kernel with transvect; transvect_derivative is a third
+    route, multiplying derivatives term by term."""
     if A.is_zero() or B.is_zero():
         return MultiForm.zero()
     m, n, t = A.order, B.order, A.pair
@@ -270,6 +272,25 @@ def test_transvect_matches_the_fraction_route_and_the_derivative_route(case):
     assert got.pair == A.pair
     assert got.form == _fraction_omega_route(A, B, r)
     assert got == transvect_derivative(A, B, r)
+
+
+# m or n = 0, r = 0 and r = min(m, n), where the kernel's derivative lists
+# have one entry or the convolution has one term
+@pytest.mark.parametrize("m,n", [(0, 0), (0, 4), (5, 0), (1, 1), (1, 6), (4, 4), (6, 3)])
+def test_kernel_matches_the_fraction_route_at_the_edges(m, n):
+    rng = seeding.stream(19, "kernel-edges", m, n)
+    A, B = _rand(m, rng), _rand(n, rng)
+    for r in sorted({0, min(m, n)}):
+        c, t = _transvect_ints(*_split(A), *_split(B), m, n, r)
+        assert len(t) == m + n - 2 * r + 1
+        N = len(t) - 1
+        got = MultiForm._make(("x",), {(N - k, k): c * v for k, v in enumerate(t)})
+        assert got == _fraction_omega_route(A, B, r), r
+
+
+def test_kernel_on_a_zero_content():
+    A = BinaryForm.from_coeffs([1, 2, 3])
+    assert _transvect_ints(0, [0, 0, 0], *_split(A), 2, 2, 1) == (0, [])
 
 
 def test_transvect_pinned_over_a_seeded_grid():
