@@ -171,10 +171,6 @@ def _arrays_upto(tmax: int) -> List[tuple]:
             if (c1, c2, c3) in tset]
 
 
-def _mk_array(tw) -> NineJArray:
-    return NineJArray._of_twice(tw)
-
-
 def _random_array(rng, tmax: int, triads, tset, by_pair) -> tuple:
     while True:
         r1 = triads[rng.randrange(len(triads))]
@@ -193,14 +189,14 @@ def check_ninej_routes(seed: int, trials: int) -> CheckOutcome:
     values: Dict[tuple, object] = {}
     small = _arrays_upto(6)
     for tw in small:
-        arr = _mk_array(tw)
+        arr = NineJArray._of_twice(tw)
         v = ninej_triple_sum(arr)
         if ninej_operator(arr) != v:
             return False, "routes agree, symmetry holds", f"route mismatch at {tw}"
         values[tw] = v
 
     for tw in small:
-        arr = _mk_array(tw)
+        arr = NineJArray._of_twice(tw)
         v = values[tw]
         sg = -1 if (arr.entry_sum_twice() // 2) % 2 else 1
         checksum = (
@@ -217,7 +213,7 @@ def check_ninej_routes(seed: int, trials: int) -> CheckOutcome:
     rng = seeding.stream(seed, "check-ninej")
     for k in range(200):
         tw = _random_array(rng, 12, triads, tset, by_pair)
-        arr = _mk_array(tw)
+        arr = NineJArray._of_twice(tw)
         if ninej_operator(arr) != ninej_triple_sum(arr):
             return False, "routes agree, symmetry holds", f"route mismatch at {tw}"
         if not ninej_symmetry_check(arr):

@@ -168,6 +168,8 @@ def _report_dict(rep) -> dict:
 
 
 def _require_orders(args, cap: int, command: str) -> None:
+    if min(args.m, args.n) < 0:
+        raise ValueError(f"{command} takes --m and --n of at least 0")
     if max(args.m, args.n) > cap:
         raise ValueError(f"{command} takes --m and --n of at most {cap}")
 

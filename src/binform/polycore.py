@@ -8,10 +8,13 @@ ring operations this module provides the differential operators that drive
 everything else in the package: the omega operator (the 2x2 polarization
 determinant), single-pair polarization, bracket monomials, pair
 substitution, and exact division.  The operators and the product run on
-one set of raw kernels over packed int exponent keys, which the 9-j
-operator chain and the transvectant projection share; a MultiForm packs
-its tuple keys at that boundary.  Transvectants of two binary forms run on
-their own dense Leibniz kernel in the transvectant module.
+one set of raw kernels over packed int exponent keys; a MultiForm packs
+its tuple keys at that boundary.  Two steps composed from those kernels,
+a split of one pair into two and a merge of two pairs into one, are the
+one engine behind the 9-j operator chain and the transvectant projection
+and section.  `_primitive` is the package's one split of rational values
+into a content and a primitive int part.  Transvectants of two binary
+forms run on their own dense Leibniz kernel in the transvectant module.
 
 All values are immutable and all operations are pure: inputs are never
 mutated and equal inputs give equal outputs.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm, perm
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -40,8 +43,9 @@ def _check_pair(name: str) -> None:
 # ---------------------------------------------------------------------------
 # Raw kernels.
 #
-# The heavy pipelines (the 9-j operator chain, the transvectant projection,
-# the MultiForm operations) run on plain dicts from packed exponent keys to coefficients.
+# The heavy pipelines (the 9-j operator chain, the transvectant projection
+# and section, the MultiForm operations) run on plain dicts from packed
+# exponent keys to coefficients.
 # A key holds one exponent per slot (pair k of PAIR_NAMES has slots 2k and
 # 2k+1) in a field of w bits, slot s at bit s*w, so a product of monomials
 # is one integer addition (Monagan & Pearce, "Polynomial Division Using
@@ -50,26 +54,34 @@ def _check_pair(name: str) -> None:
 # carries into the next; MultiForm operations pack their tuple keys at the
 # boundary with `_pack` and unpack with `_unpack`.  When the coefficients
 # are ints the arithmetic stays in ints, which is several times faster than
-# Fraction; `_primitive` splits rational terms into a content and integer
-# terms so that callers, this module's kernels and transvectant's alike, can
-# feed their kernels ints and apply the content once at the end.  Kernels never mutate their input, and a zero power returns
-# the input itself.
+# Fraction; `_primitive` splits rational values into a content and ints so
+# that callers can feed their kernels ints and apply the content once at
+# the end, with `_from_primitive`.  Kernels never mutate their input, and a
+# zero power returns the input itself.
 # ---------------------------------------------------------------------------
 
 
-def _primitive(terms: Mapping) -> tuple:
-    """Split terms into (content, int_terms) with terms == content * int_terms.
+def _primitive(values: Sequence) -> tuple:
+    """Split rational values into (content, ints), values == content * ints.
 
-    The content is a positive Fraction and the ints are coprime, so the
-    int terms are the primitive part (Knuth, TAOCP vol. 2, 4.6.1); the empty
-    dict, or one of zeros only, gives (0, {}).
+    The content is a positive Fraction and the ints are coprime, so they
+    are the primitive part (Knuth, TAOCP vol. 2, 4.6.1); values that are
+    all zero, or none, give content 0 and zeros.
     """
-    num = gcd(*(c.numerator for c in terms.values()))
+    num = gcd(*[v.numerator for v in values])
     if not num:
-        return 0, {}
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = {key: c.numerator * (den // c.denominator) // num for key, c in terms.items()}
-    return Fraction(num, den), ints
+        return 0, [0] * len(values)
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:  # int values: no denominator to scale out
+        return Fraction(num), [v.numerator // num for v in values]
+    return Fraction(num, den), [v.numerator * (den // v.denominator) // num for v in values]
+
+
+def _from_primitive(pairs: tuple, content, items) -> "MultiForm":
+    """The form content * sum(v * monomial(key)) over pairs, for the
+    (exponent tuple, int v) items."""
+    num, den = content.numerator, content.denominator
+    return MultiForm._make(pairs, {key: Fraction(v * num, den) for key, v in items if v})
 
 
 def _raw_add_into(acc: dict, terms: Mapping, factor: Coeff = 1) -> None:
@@ -201,6 +213,21 @@ def _raw_bracket_power(w: int, a: str, b: str, r: int) -> dict:
     (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
     return {((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2):
             -comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)}
+
+
+def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
+    """Split pair src, of order j, into pairs a and b of orders ja and jb."""
+    t = _raw_polarize(t, w, src, a, (ja + j - jb) // 2)
+    t = _raw_polarize(t, w, src, b, (jb + j - ja) // 2)
+    r = (ja + jb - j) // 2
+    return _raw_mul(t, _raw_bracket_power(w, a, b, r)) if r else t
+
+
+def _merge(t: dict, w: int, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
+    """Couple pairs a and b, of orders ja and jb, to order jab in pair dst,
+    which may be one of them."""
+    t = _raw_omega_power(t, w, a, b, (ja + jb - jab) // 2)
+    return _raw_substitute(_raw_substitute(t, w, a, dst), w, b, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +523,6 @@ def exact_divide(f: MultiForm, g: MultiForm) -> MultiForm:
 # ---------------------------------------------------------------------------
 
 
-def _check_active(f: MultiForm, *names: str) -> None:
-    for name in names:
-        if name not in f.pairs:
-            raise ValueError(f"inactive pair {name!r}")
-
-
 def omega_power(f: MultiForm, a: str, b: str, r: int) -> MultiForm:
     """Apply the omega operator for pairs (a, b) r times in one pass.
 
@@ -516,7 +537,8 @@ def omega_power(f: MultiForm, a: str, b: str, r: int) -> MultiForm:
         raise ValueError("negative operator power")
     if r == 0:
         return f
-    _check_active(f, a, b)
+    f._slot(a)
+    f._slot(b)
     w = _width(_top(f))
     return _packed_op(f, f.pairs, w, _raw_omega_power, w, a, b, r)
 
@@ -539,7 +561,7 @@ def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
         raise ValueError("negative operator power")
     if ell == 0:
         return f
-    _check_active(f, src)
+    f._slot(src)
     w = _width(_top(f) + ell)
     pairs = tuple(sorted(set(f.pairs) | {dst}))
     return _packed_op(f, pairs, w, _raw_polarize, w, src, dst, ell)
@@ -570,7 +592,7 @@ def substitute_pair(f: MultiForm, src: str, dst: str) -> MultiForm:
     _check_pair(dst)
     if src == dst:
         return f
-    _check_active(f, src)
+    f._slot(src)
     w = _width(2 * _top(f))
     pairs = tuple(sorted(set(f.pairs) - {src} | {dst}))
     return _packed_op(f, pairs, w, _raw_substitute, w, src, dst)
@@ -579,10 +601,8 @@ def substitute_pair(f: MultiForm, src: str, dst: str) -> MultiForm:
 def linear_substitute(f: MultiForm, pair: str, coeffs: tuple) -> MultiForm:
     """Apply x1 -> a*x1 + b*x2, x2 -> c*x1 + d*x2 to one pair."""
     _check_pair(pair)
-    if pair not in f.pairs:
-        raise ValueError(f"inactive pair {pair!r}")
-    a, b, c, d = (Fraction(v) for v in coeffs)
     s = f._slot(pair)
+    a, b, c, d = (Fraction(v) for v in coeffs)
     out: dict = {}
     for key, co in f.terms.items():
         e1, e2 = key[s], key[s + 1]
@@ -608,14 +628,6 @@ def linear_substitute(f: MultiForm, pair: str, coeffs: tuple) -> MultiForm:
 # ---------------------------------------------------------------------------
 
 
-def rational_to_str(c: Coeff) -> str:
-    return str(Fraction(c))
-
-
-def rational_from_str(s: Union[str, int]) -> Fraction:
-    return Fraction(s)
-
-
 def to_json_dict(f: MultiForm) -> dict:
     orders = {
         name: ("inhomogeneous" if f.orders[name] is None else f.orders[name])
@@ -624,7 +636,7 @@ def to_json_dict(f: MultiForm) -> dict:
     terms = []
     for key in sorted(f.terms, reverse=True):
         exps = {name: [key[2 * i], key[2 * i + 1]] for i, name in enumerate(f.pairs)}
-        terms.append({"exps": exps, "coeff": rational_to_str(f.terms[key])})
+        terms.append({"exps": exps, "coeff": str(f.terms[key])})
     return {"orders": orders, "terms": terms}
 
 
@@ -640,5 +652,5 @@ def from_json_dict(data: Mapping) -> MultiForm:
         for name in pairs:
             e1, e2 = entry["exps"].get(name, (0, 0))
             key.extend((int(e1), int(e2)))
-        terms[tuple(key)] = rational_from_str(entry["coeff"])
+        terms[tuple(key)] = Fraction(entry["coeff"])
     return MultiForm(orders, terms)

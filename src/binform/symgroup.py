@@ -10,19 +10,23 @@ its conjectured analogue for degrees 6 and 7.
 
 All linear algebra is over the integers.  Kernels, ranks and the coupling
 solve share one fraction-free row reduction (_row_reduce) that keeps every
-row primitive.  A module's matrices enumerate no tabloids: a polytabloid's
-value at a column tabloid has a closed form (0, or a product of column sort
-signs), and the basis is unitriangular on the standard tableaux's own
-column tabloids (Sagan, The Symmetric Group, 2nd ed., section 2.5), so
-coordinates are a forward substitution of those values (see _ColumnSpan).
+row primitive with polycore's `_primitive`, the package's one
+integer-normalisation helper.  A module's matrices enumerate no tabloids:
+a polytabloid's value at a column tabloid has a closed form (0, or a
+product of column sort signs), and the basis is unitriangular on the
+standard tableaux's own column tabloids (Sagan, The Symmetric Group, 2nd
+ed., section 2.5), so coordinates are a forward substitution of those
+values (see _ColumnSpan).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
-from operator import attrgetter, mul
+from math import factorial, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .polycore import _primitive
 
 Shape = Tuple[int, ...]
 Perm = Tuple[int, ...]  # perm[k] = image of k + 1, entries 1..d
@@ -183,21 +187,11 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
-def _scale_to_int(vec: Sequence[Fraction]) -> List[int]:
-    """The primitive integer vector on the ray of a rational or integer vector."""
-    den = lcm(*map(attrgetter("denominator"), vec))
-    ints = [int(v * den) for v in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
 def _row_reduce(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
     """Reduced row echelon form of a rational matrix, computed over the
     integers: the nonzero rows, each primitive with a positive pivot that is
     the only nonzero entry of its column, pivot columns increasing."""
-    work = [_scale_to_int(row) for row in rows if any(row)]
+    work = [_primitive(row)[1] for row in rows if any(row)]
     reduced: List[List[int]] = []
     for j in range(ncols):
         pick = next((i for i, row in enumerate(work) if row[j]), None)
@@ -211,7 +205,7 @@ def _row_reduce(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
             for i, row in enumerate(group):
                 f = row[j]
                 if f:
-                    group[i] = _scale_to_int([a * x - f * y for x, y in zip(row, piv)])
+                    group[i] = _primitive([a * x - f * y for x, y in zip(row, piv)])[1]
         work = [row for row in work if any(row)]
         reduced.append(piv)
         if not work:
@@ -231,12 +225,14 @@ def _kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
         vec[fj] = scale
         for row, pj in zip(reduced, pivots):
             vec[pj] = -row[fj] * (scale // row[pj])
-        basis.append(_scale_to_int(vec))
+        basis.append(_primitive(vec)[1])
     return basis
 
 
 def _integerize(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    ints = _scale_to_int(vec)
+    """The primitive integer vector on the ray of vec, first nonzero entry
+    positive."""
+    ints = _primitive(vec)[1]
     first = next((v for v in ints if v), 0)
     if first < 0:
         ints = [-v for v in ints]
@@ -500,8 +496,8 @@ def _eigen_intersect(apply_k, n: int, contents: Dict[int, int], d: int) -> List[
         nb = len(basis)
         rows = [[images[j][i] - ck * basis[j][i] for j in range(nb)] for i in range(n)]
         kernel = _kernel_basis(rows, nb)
-        basis = [_scale_to_int([sum(y[j] * basis[j][i] for j in range(nb))
-                                for i in range(n)]) for y in kernel]
+        basis = [_primitive([sum(y[j] * basis[j][i] for j in range(nb))
+                             for i in range(n)])[1] for y in kernel]
         if not basis:
             break
     return basis
@@ -729,8 +725,7 @@ def _kernel_coefficients(rows: Sequence[Tuple]) -> Tuple[int, Optional[Tuple[int
 
 
 def _residual_vanishes(rows: Sequence[Tuple], coeffs: Sequence[int]) -> bool:
-    c = [Fraction(v) for v in coeffs]
-    return all(sum(cv * rv for cv, rv in zip(c, row)) == 0 for row in rows)
+    return all(sum(c * v for c, v in zip(coeffs, row)) == 0 for row in rows)
 
 
 @lru_cache(maxsize=1)
@@ -846,23 +841,30 @@ class ConjectureReport:
     passed: bool
 
 
+def _relation_system(d: int) -> Tuple[Sequence[Tuple], str]:
+    """(rows, scaling): the basis-pair residual rows of the degree-d
+    relation, in the anchored scaling of _matched_s5_system at d = 5 and in
+    the raw couplings otherwise."""
+    if d not in RELATION_DEGREES:
+        raise ValueError("degree must be 5, 6, 7, or 8")
+    if d == 5:
+        rows, _, _, scaling, _, _, _ = _matched_s5_system()
+        return rows, scaling
+    std, two, _ = _relation_shapes(d)
+    d1, d2 = _module(std).dim, _module(two).dim
+    return _pointwise_rows(_five_couplings(d), d1, d2), "raw"
+
+
 def test_conjecture(d: int) -> ConjectureReport:
     """The degree-d analogue: both multiplicity statements plus a relation
     with nonzero final coefficient, found by exact linear algebra over the
     basis-pair residuals.  Degree 5 runs through the same solving path with
     the anchored scalings, reproducing (32, 100, 25, -180)."""
-    if d not in RELATION_DEGREES:
-        raise ValueError("degree must be 5, 6, 7, or 8")
+    rows, scaling = _relation_system(d)
     std, two, _ = _relation_shapes(d)
     coupling_mult = multiplicity(two, two, std)
     wedge = (d - 2, 1, 1)
     wedge_mult = multiplicity(wedge, wedge, std)
-    if d == 5:
-        rows, _, _, scaling, _, _, _ = _matched_s5_system()
-    else:
-        scaling = "raw"
-        d1, d2 = _module(std).dim, _module(two).dim
-        rows = _pointwise_rows(_five_couplings(d), d1, d2)
     kdim, coeffs = _kernel_coefficients(rows)
     c4_nonzero = coeffs is not None and coeffs[3] != 0
     passed = (coupling_mult == 1 and wedge_mult >= 1 and kdim == 1 and c4_nonzero)
@@ -875,12 +877,4 @@ def test_conjecture(d: int) -> ConjectureReport:
 def relation_residual_vanishes(d: int, coefficients: Sequence[int]) -> bool:
     """Whether the four-term combination with these coefficients vanishes on
     every basis pair, in the same scaling test_conjecture uses for d."""
-    if d not in RELATION_DEGREES:
-        raise ValueError("degree must be 5, 6, 7, or 8")
-    if d == 5:
-        rows = _matched_s5_system()[0]
-    else:
-        std, two, _ = _relation_shapes(d)
-        d1, d2 = _module(std).dim, _module(two).dim
-        rows = _pointwise_rows(_five_couplings(d), d1, d2)
-    return _residual_vanishes(rows, coefficients)
+    return _residual_vanishes(_relation_system(d)[0], coefficients)

@@ -21,11 +21,11 @@ from math import factorial, lcm, perm
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import seeding
-from .polycore import MultiForm, _primitive, add, exact_divide, mul, negate, scale
+from .polycore import MultiForm, add, exact_divide, mul, negate, scale
 from .transvectant import (
     BinaryForm,
     _from_ints,
-    _split,
+    _int_coeffs,
     _transvect_ints,
     random_binary_form,
     transvect,
@@ -313,12 +313,6 @@ def _sample_pair(m: int, n: int, seed: int, trial: int, symbolic: bool):
     return entry
 
 
-def _normalised(content, ints: list) -> tuple:
-    """content * ints as (content, primitive int list); zero gives (0, [])."""
-    g, prim = _primitive(dict(enumerate(ints)))
-    return content * g, list(prim.values())
-
-
 def _pair_transvectant(entry, i: int, j: int, s: int) -> tuple:
     """(u_i, u_j)_s of the entry's pair as (content, primitive int list),
     with u_i and u_j cached the same way."""
@@ -329,8 +323,8 @@ def _pair_transvectant(entry, i: int, j: int, s: int) -> tuple:
     m, n = A.order, B.order
     for k in (i, j):
         if k not in us:
-            us[k] = _normalised(*_transvect_ints(*_split(A), *_split(B), m, n, k))
-    val = _normalised(*_transvect_ints(*us[i], *us[j], m + n - 2 * i, m + n - 2 * j, s))
+            us[k] = _transvect_ints(*_int_coeffs(A), *_int_coeffs(B), m, n, k)
+    val = _transvect_ints(*us[i], *us[j], m + n - 2 * i, m + n - 2 * j, s)
     pairs[(i, j, s)] = val
     return val
 
@@ -396,7 +390,7 @@ def reconstruct(u0: BinaryForm, u1: BinaryForm, m: int, n: int,
         raise ValueError(f"order mismatch: expected orders {m + n} and {m + n - 2}")
     if u0.is_zero():
         raise ValueError("inputs are not transvectants of a common pair")
-    us = [_split(u0), _split(u1)]
+    us = [_int_coeffs(u0), _int_coeffs(u1)]
     out = []
     for r in range(2, min(m, n) + 1):
         tab = vartheta_table(m, n, r, point)
@@ -416,7 +410,7 @@ def reconstruct(u0: BinaryForm, u1: BinaryForm, m: int, n: int,
         except ValueError:
             raise ValueError("inputs are not transvectants of a common pair") from None
         ur = BinaryForm(u0.pair, m + n - 2 * r, q)
-        us.append(_split(ur))
+        us.append(_int_coeffs(ur))
         out.append(ur)
     return out
 

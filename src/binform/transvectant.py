@@ -8,10 +8,11 @@ Theory, 1999, ch. 5), on the primitive parts of A and B with their contents
 applied once at the end; the syzygy module runs the same kernel on its own
 int coefficient lists.  An independent derivative-sum route in Fractions is
 kept as an internal oracle.  The module also provides the projection/section
-pair between the tensor space and each transvectant summand, whose
-projection runs polycore's omega and substitution kernels, the scaling
-factors tying them together, and an exchange identity on Jacobians used by
-the imbedding argument.
+pair between the tensor space and each transvectant summand, which run on
+polycore's split/merge engine (the projection is one merge, the section one
+split, on the primitive part of the input), the scaling factors tying them
+together, and an exchange identity on Jacobians used by the imbedding
+argument.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from typing import Sequence
 
 from .polycore import (
     MultiForm,
+    _from_primitive,
+    _merge,
     _pack,
     _primitive,
-    _raw_omega_power,
-    _raw_substitute,
+    _split,
     _top,
     _unpack,
     _width,
@@ -34,16 +36,8 @@ from .polycore import (
     bracket_power,
     mul,
     negate,
-    polarize,
     scale,
-    substitute_pair,
 )
-
-Rational = Fraction
-
-
-def _partner(pair: str) -> str:
-    return "y" if pair != "y" else "x"
 
 
 @dataclass(frozen=True)
@@ -159,22 +153,20 @@ def factor_g(m: int, n: int, r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _split(A: BinaryForm) -> tuple:
+def _int_coeffs(A: BinaryForm) -> tuple:
     """(content, dense primitive int coefficients of A indexed by x2-exponent);
     a zero form gives content 0."""
-    content, ints = _primitive(A.form.terms)
     a = [0] * (A.order + 1)
-    for key, v in ints.items():
+    for key, v in A.form.terms.items():
         a[key[1] if key else 0] = v  # an order-0 form's key is ()
-    return content, a
+    return _primitive(a)
 
 
 def _from_ints(pair: str, content, ints: list) -> BinaryForm:
     """The binary form content * sum ints[k] x1^(N-k) x2^k, N = len(ints) - 1."""
     N = len(ints) - 1
-    num, den = content.numerator, content.denominator
-    return BinaryForm(pair, N, MultiForm._make(
-        (pair,), {(N - k, k): Fraction(v * num, den) for k, v in enumerate(ints) if v}))
+    return BinaryForm(pair, N, _from_primitive(
+        (pair,), content, (((N - k, k), v) for k, v in enumerate(ints))))
 
 
 def _transvect_ints(ca, a: list, cb, b: list, m: int, n: int, r: int) -> tuple:
@@ -184,8 +176,8 @@ def _transvect_ints(ca, a: list, cb, b: list, m: int, n: int, r: int) -> tuple:
     Leibniz route: Omega^r = sum_k (-1)^k C(r,k) dx1^(r-k) dx2^k dy1^k dy2^(r-k),
     so t is the sum over k of the convolution of the (r-k, k) derivative of
     A with the (k, r-k) derivative of B; each row of the first carries its
-    signed binomial once, and c = ca * cb * f(m,n;r).  A zero content gives
-    (0, []).
+    signed binomial once, and c = ca * cb * f(m,n;r) times the content of
+    that sum, so t is primitive.  A zero content gives (0, []).
     """
     if not (ca and cb):
         return 0, []
@@ -200,7 +192,8 @@ def _transvect_ints(ca, a: list, cb, b: list, m: int, n: int, r: int) -> tuple:
             if x:
                 for l, y in db:
                     t[j + l] += x * y
-    return ca * cb * factor_f(m, n, r), t
+    g, t = _primitive(t)
+    return ca * cb * factor_f(m, n, r) * g, t
 
 
 def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
@@ -215,17 +208,7 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     if A.is_zero() or B.is_zero():
         return BinaryForm(A.pair, max(m + n - 2 * r, 0), MultiForm.zero())
     _check_index(m, n, r)
-    return _from_ints(A.pair, *_transvect_ints(*_split(A), *_split(B), m, n, r))
-
-
-def _project(content: Fraction, terms: dict, w: int, pairs: tuple, t: str, s: str,
-             m: int, n: int, r: int) -> MultiForm:
-    """content * f(m,n;r) * Omega^r F with pair s merged into pair t, read
-    back over pairs, for the packed int terms F of orders (m,n) in (t,s)."""
-    G = _unpack(_raw_substitute(_raw_omega_power(terms, w, t, s, r), w, s, t), pairs, w)
-    c = content * factor_f(m, n, r)
-    num, den = c.numerator, c.denominator
-    return MultiForm._make(pairs, {key: Fraction(v * num, den) for key, v in G.items()})
+    return _from_ints(A.pair, *_transvect_ints(*_int_coeffs(A), *_int_coeffs(B), m, n, r))
 
 
 def _derivative(form: MultiForm, d1: int, d2: int) -> dict:
@@ -272,41 +255,39 @@ def transvect_derivative(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
 
 def project_pi(F: MultiForm, m: int, n: int, r: int) -> MultiForm:
     """Project a bihomogeneous form of orders (m,n) in (x,y) onto the
-    order-(m+n-2r) summand, landing in pair x."""
+    order-(m+n-2r) summand, landing in pair x: f(m,n;r) times the merge of
+    y into x."""
     _check_index(m, n, r)
     if F.is_zero():
         return MultiForm.zero()
     if F.order("x") != m or F.order("y") != n:
         raise ValueError("order mismatch for pair 'x'/'y'")
     w = _width(m + n, _top(F))
-    content, terms = _primitive(F.terms)
+    content, ints = _primitive(list(F.terms.values()))
+    t = _merge(_pack(dict(zip(F.terms, ints)), F.pairs, w), w, "x", "y", "x", m, n, m + n - 2 * r)
     pairs = tuple(sorted(set(F.pairs) - {"y"} | {"x"}))
-    return _project(content, _pack(terms, F.pairs, w), w, pairs, "x", "y", m, n, r)
+    return _from_primitive(pairs, content * factor_f(m, n, r), _unpack(t, pairs, w).items())
 
 
 def section_iota(C, m: int, n: int, r: int) -> MultiForm:
-    """Section of project_pi: embed an order-(m+n-2r) form into the (m,n)
-    tensor space as g(m,n;r) (xy)^r times its split polarization."""
+    """Section of project_pi: embed an order-(m+n-2r) form in pair x or z
+    into the (m,n) tensor space as g(m,n;r)/(m+n-2r)! times its split into
+    x and y, its split polarization times (xy)^r."""
     _check_index(m, n, r)
     form = C.form if isinstance(C, BinaryForm) else C
-    w = m + n - 2 * r
+    N = m + n - 2 * r
     if form.is_zero():
         return MultiForm.zero()
-    if form.pairs == ("x",):
-        form = substitute_pair(form, "x", "z")
-    if form.pairs == ():
-        if w != 0:
-            raise ValueError(f"order mismatch: section expects a form of order {w}")
-    elif form.pairs != ("z",) or form.order("z") != w:
-        raise ValueError(f"order mismatch: section expects a form of order {w}")
-    out = form
-    if w:
-        out = polarize(out, "z", "x", m - r)
-        out = polarize(out, "z", "y", n - r)
-    out = scale(out, factor_g(m, n, r) / factorial(w))
-    if r:
-        out = mul(out, bracket_power("x", "y", r))
-    return out
+    order = form.orders[form.pairs[0]] if form.pairs else 0
+    if form.pairs not in ((), ("x",), ("z",)) or order != N:
+        raise ValueError(f"order mismatch: section expects a form of order {N}")
+    w = _width(m, n, N)
+    content, ints = _primitive(list(form.terms.values()))
+    # packing the one pair as z relabels a form in x
+    t = _split(_pack(dict(zip(form.terms, ints)), ("z",) * len(form.pairs), w),
+               w, "z", "x", "y", m, n, N)
+    return _from_primitive(("x", "y"), content * factor_g(m, n, r) / factorial(N),
+                           _unpack(t, ("x", "y"), w).items())
 
 
 def trace_element(m: int) -> MultiForm:

@@ -2,14 +2,15 @@
 
 Values are quadratic surds q*sqrt(s) with q rational and s squarefree.
 
-The operator route is one recoupling-tree engine on the highest-weight
-form z1^(2j): a split polarises one pair into two and multiplies by their
-bracket, a merge contracts two pairs by an omega power into a third.  The
-coupling coefficient (hence the 3-j symbol) is one split, the 6-j symbol
-two splits and two merges, the 9-j symbol three of each.  The syzygy
-module's kappa_oracle is the 9-j chain of the kappa array times K.  The
-operator chain, the 9-j triple sum and the syzygy module's kappa triple
-sum share no code; kappa_via_ninej reaches kappa through the triple sum.
+The operator route is a recoupling tree on the highest-weight form
+z1^(2j), run on polycore's split/merge engine: a split polarises one pair
+into two and multiplies by their bracket, a merge contracts two pairs by an
+omega power into a third.  The coupling coefficient (hence the 3-j symbol)
+is one split, the 6-j symbol two splits and two merges, the 9-j symbol
+three of each.  The syzygy module's kappa_oracle is the 9-j chain of the
+kappa array times K.  The operator chain, the 9-j triple sum and the
+syzygy module's kappa triple sum share no code; kappa_via_ninej reaches
+kappa through the triple sum.
 
 Square roots only ever arise from ratios of factorials, so surds are
 assembled from prime exponents via Legendre's formula; nothing ever
@@ -25,15 +26,7 @@ from math import factorial, gcd, isqrt, perm
 from operator import add, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polycore import (
-    _key,
-    _raw_bracket_power,
-    _raw_mul,
-    _raw_omega_power,
-    _raw_polarize,
-    _raw_substitute,
-    _width,
-)
+from .polycore import _key, _merge, _split, _width
 from .transvectant import factor_h
 
 HalfIntLike = Union["HalfInt", int, str, Fraction]
@@ -283,23 +276,9 @@ def _require_triad(j1: int, j2: int, j: int, where: str) -> None:
 # ---------------------------------------------------------------------------
 #
 # A chain's forms are dicts from polycore's packed keys to int coefficients,
-# run through polycore's raw kernels.  Every exponent in a chain is at most
-# the order of its pair, one of the chain's twice-entries; with
+# run through polycore's split and merge.  Every exponent in a chain is at
+# most the order of its pair, one of the chain's twice-entries; with
 # w = _width(twice-entries) no field carries into the next.
-
-
-def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
-    """Split pair src, of order j, into pairs a and b of orders ja and jb."""
-    t = _raw_polarize(t, w, src, a, (ja + j - jb) // 2)
-    t = _raw_polarize(t, w, src, b, (jb + j - ja) // 2)
-    r = (ja + jb - j) // 2
-    return _raw_mul(t, _raw_bracket_power(w, a, b, r)) if r else t
-
-
-def _merge(t: dict, w: int, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
-    """Couple pairs a and b, of orders ja and jb, to order jab in pair dst."""
-    t = _raw_omega_power(t, w, a, b, (ja + jb - jab) // 2)
-    return _raw_substitute(_raw_substitute(t, w, a, dst), w, b, dst)
 
 
 def _chain_scalar(t: dict, w: int, j: int) -> int:

@@ -399,6 +399,21 @@ class TestMainInProcess:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
+    def test_negative_form_orders_exit_two_naming_the_flags(self, capsys):
+        # checked before any form is parsed, so no error blames --u0 or r
+        for argv, message in (
+            (["transvect", "--m", "-1", "--n", "2", "--r", "0", "--A", "1", "--B", "1 1 1"],
+             "transvect takes --m and --n of at least 0"),
+            (["syzygy", "--m", "-2", "--n", "3", "--r", "2"],
+             "syzygy takes --m and --n of at least 0"),
+            (["syzygy", "verify", "--m", "5", "--n", "-3", "--r", "2"],
+             "syzygy verify takes --m and --n of at least 0"),
+            (["reconstruct", "--m", "-3", "--n", "2", "--u0", "1 2", "--u1", "1"],
+             "reconstruct takes --m and --n of at least 0"),
+        ):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
     def test_form_orders_and_trials_at_the_caps_run(self, capsys):
         from binform import seeding
         from binform.transvectant import random_binary_form, transvect

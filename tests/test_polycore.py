@@ -367,20 +367,20 @@ _nonzero_rationals = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _nonzero_rationals,
-                       max_size=8))
-def test_primitive_splits_content_and_primitive_part(terms):
-    content, ints = _primitive(terms)
-    if not terms:
-        assert (content, ints) == (0, {})
+@given(st.lists(st.one_of(st.just(0), _nonzero_rationals), max_size=8))
+def test_primitive_splits_content_and_primitive_part(values):
+    content, ints = _primitive(values)
+    assert all(type(v) is int for v in ints)
+    assert [content * v for v in ints] == values
+    if not any(values):
+        assert (content, ints) == (0, [0] * len(values))
         return
     assert content > 0
-    assert all(type(v) is int for v in ints.values())
-    assert gcd(*ints.values()) == 1
-    assert {k: content * v for k, v in ints.items()} == terms
+    assert gcd(*ints) == 1
 
 
-def test_primitive_of_the_empty_dict():
-    assert _primitive({}) == (0, {})
-    assert _primitive(MultiForm.zero().terms) == (0, {})
-    assert _primitive({(1, 0): F(-6, 35), (0, 1): F(4, 21)}) == (F(2, 105), {(1, 0): -9, (0, 1): 10})
+def test_primitive_of_empty_and_zero_values():
+    assert _primitive([]) == (0, [])
+    assert _primitive([0, F(0)]) == (0, [0, 0])
+    assert _primitive([F(-6, 35), 0, F(4, 21)]) == (F(2, 105), [-9, 0, 10])
+    assert _primitive([-4, 6, 0]) == (2, [-2, 3, 0])

@@ -31,9 +31,10 @@ def test_traced_kernels_live_in_polycore():
 
 
 def test_the_chain_and_transvect_call_the_polycore_kernels():
-    for name in KERNELS:
-        assert getattr(wigner, name) is getattr(polycore, name), name
-    # transvect runs its own Leibniz kernel; project_pi's _project keeps these
-    for name in ("_raw_omega_power", "_raw_substitute"):
-        assert getattr(transvectant, name) is getattr(polycore, name), name
-    assert not hasattr(transvectant, "_raw_mul")
+    # the 9-j chain, project_pi and section_iota share polycore's one
+    # split/merge engine, and no module keeps a copy of a raw kernel
+    for module in (wigner, transvectant):
+        for name in ("_split", "_merge"):
+            assert getattr(module, name) is getattr(polycore, name), (module, name)
+        for name in KERNELS:
+            assert getattr(module, name, None) in (None, getattr(polycore, name)), (module, name)

@@ -2,7 +2,8 @@
 
 import hashlib
 from fractions import Fraction as F
-from math import factorial
+from functools import reduce
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,16 +13,18 @@ from binform import seeding
 from binform.polycore import (
     MultiForm,
     add,
+    bracket_power,
     evaluate,
     mul,
     negate,
     omega_power,
+    polarize,
     scale,
     substitute_pair,
 )
 from binform.transvectant import (
     BinaryForm,
-    _split,
+    _int_coeffs,
     _transvect_ints,
     factor_f,
     factor_g,
@@ -281,8 +284,9 @@ def test_kernel_matches_the_fraction_route_at_the_edges(m, n):
     rng = seeding.stream(19, "kernel-edges", m, n)
     A, B = _rand(m, rng), _rand(n, rng)
     for r in sorted({0, min(m, n)}):
-        c, t = _transvect_ints(*_split(A), *_split(B), m, n, r)
+        c, t = _transvect_ints(*_int_coeffs(A), *_int_coeffs(B), m, n, r)
         assert len(t) == m + n - 2 * r + 1
+        assert gcd(*t) in (0, 1)  # the kernel returns a primitive part
         N = len(t) - 1
         got = MultiForm._make(("x",), {(N - k, k): c * v for k, v in enumerate(t)})
         assert got == _fraction_omega_route(A, B, r), r
@@ -290,7 +294,86 @@ def test_kernel_matches_the_fraction_route_at_the_edges(m, n):
 
 def test_kernel_on_a_zero_content():
     A = BinaryForm.from_coeffs([1, 2, 3])
-    assert _transvect_ints(0, [0, 0, 0], *_split(A), 2, 2, 1) == (0, [])
+    assert _transvect_ints(0, [0, 0, 0], *_int_coeffs(A), 2, 2, 1) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# MultiForm-operation routes as oracles for project_pi and section_iota
+# ---------------------------------------------------------------------------
+
+
+def _pi_by_operations(F_, m, n, r):
+    """f(m,n;r) * Omega^r F with y merged into x, by MultiForm operations:
+    omega_power, then substitute_pair, then scale."""
+    if F_.is_zero():
+        return MultiForm.zero()
+    G = omega_power(F_, "x", "y", r)
+    if "y" in G.pairs:
+        G = substitute_pair(G, "y", "x")
+    return scale(G, factor_f(m, n, r))
+
+
+def _iota_by_operations(form, m, n, r):
+    """g(m,n;r)/(m+n-2r)! (xy)^r times the split polarization of a form in
+    x, z or a constant, by MultiForm operations: substitute_pair, polarize
+    twice, scale, then mul(bracket_power)."""
+    if form.is_zero():
+        return MultiForm.zero()
+    if "x" in form.pairs:
+        form = substitute_pair(form, "x", "z")
+    out = polarize(form, "z", "x", m - r)
+    out = polarize(out, "z", "y", n - r)
+    out = scale(out, factor_g(m, n, r) / factorial(m + n - 2 * r))
+    return mul(out, bracket_power("x", "y", r))
+
+
+@st.composite
+def _weights(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return m, n, draw(st.one_of(st.just(0), st.just(min(m, n)), st.integers(0, min(m, n))))
+
+
+@st.composite
+def _pi_inputs(draw):
+    """A form of orders (m, n) in (x, y) and k in an extra pair p, k = 0
+    leaving p out."""
+    m, n, r = draw(_weights())
+    k = draw(st.integers(0, 3))
+    monomials = draw(st.lists(st.tuples(st.integers(0, m), st.integers(0, n),
+                                        st.integers(0, k), _coeffs), max_size=8))
+    F_ = reduce(add, (MultiForm.monomial({"x": (m - i, i), "y": (n - j, j), "p": (k - l, l)}, c)
+                      for i, j, l, c in monomials), MultiForm.zero())
+    return F_, m, n, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pi_inputs())
+def test_project_pi_matches_the_operation_route(case):
+    F_, m, n, r = case
+    assert project_pi(F_, m, n, r) == _pi_by_operations(F_, m, n, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights(), st.sampled_from(("x", "z")), st.booleans(),
+       st.lists(_coeffs, min_size=13, max_size=13))
+def test_section_iota_matches_the_operation_route(weights, pair, as_binary_form, coeffs):
+    # an order-0 input is a constant: canonicalisation prunes its pair
+    m, n, r = weights
+    C = BinaryForm.from_coeffs(coeffs[:m + n - 2 * r + 1], pair)
+    got = section_iota(C if as_binary_form else C.form, m, n, r)
+    assert got == _iota_by_operations(C.form, m, n, r)
+
+
+@pytest.mark.parametrize("form,m,n,r", [
+    (MultiForm.monomial({"y": (1, 1)}), 2, 2, 1),
+    (MultiForm.monomial({"x": (1, 0), "z": (1, 0)}), 2, 2, 1),
+    (MultiForm.constant(3), 2, 2, 1),
+    (MultiForm.monomial({"z": (2, 1)}), 2, 2, 1),
+    (MultiForm({"x": None}, {(1, 0): 1, (2, 0): 1}), 2, 2, 1),
+])
+def test_section_rejects_a_form_of_the_wrong_pair_or_order(form, m, n, r):
+    with pytest.raises(ValueError, match=r"^order mismatch: section expects a form of order 2$"):
+        section_iota(form, m, n, r)
 
 
 def test_transvect_pinned_over_a_seeded_grid():

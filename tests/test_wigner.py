@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binform import checks, wigner
+from binform import checks, polycore, wigner
 from binform.syzygy import kappa, kappa_oracle, pi_set
 from binform.wigner import (
     HalfInt,
@@ -482,8 +482,8 @@ class TestPackedChainKeys:
 
     def test_corrupted_chain_step_is_caught(self, monkeypatch):
         # a last merge that leaves its source pairs in place cannot end at z1^(2J)
-        substitute = wigner._raw_substitute
-        monkeypatch.setattr(wigner, "_raw_substitute", lambda t, w, src, dst:
+        substitute = polycore._raw_substitute
+        monkeypatch.setattr(polycore, "_raw_substitute", lambda t, w, src, dst:
                             dict(t) if dst == "z" else substitute(t, w, src, dst))
         with pytest.raises(ValueError, match="operator chain inconsistent"):
             ninej_operator(_mk([[2, 1, 3], [1, 2, 3], [3, 3, 4]]))
@@ -495,7 +495,7 @@ class TestPackedChainKeys:
     def test_chain_step_dropping_every_term_fails_the_checks(self, monkeypatch):
         # an empty chain reads as the scalar 0 with no error, so only the
         # comparison with a second route in each check can catch it
-        monkeypatch.setattr(wigner, "_raw_substitute", lambda t, w, src, dst: {})
+        monkeypatch.setattr(polycore, "_raw_substitute", lambda t, w, src, dst: {})
         assert ninej_operator(_mk([[2, 1, 3], [1, 2, 3], [3, 3, 4]])).is_zero()
         ok, _, actual = checks.check_ninej_routes(42, 5)
         assert not ok and actual.startswith("route mismatch")
