@@ -231,6 +231,9 @@ def _cmd_syzygy(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     _require_orders(args, _MAX_RECONSTRUCT_ORDER, "reconstruct")
+    if min(args.m, args.n) < 1:
+        # u_1 = (f, g)_1 needs both orders at least 1
+        raise ValueError("reconstruct takes --m and --n of at least 1")
     u0 = _parse_form(args.u0, "--u0", args.m + args.n, "monomial")
     u1 = _parse_form(args.u1, "--u1", args.m + args.n - 2, "monomial")
     forms = reconstruct(u0, u1, args.m, args.n)

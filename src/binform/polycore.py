@@ -84,9 +84,9 @@ def _from_primitive(pairs: tuple, content, items) -> "MultiForm":
     return MultiForm._make(pairs, {key: Fraction(v * num, den) for key, v in items if v})
 
 
-def _raw_add_into(acc: dict, terms: Mapping, factor: Coeff = 1) -> None:
+def _raw_add_into(acc: dict, terms: Mapping) -> None:
     for key, c in terms.items():
-        nc = acc.get(key, 0) + c * factor
+        nc = acc.get(key, 0) + c
         if nc:
             acc[key] = nc
         else:

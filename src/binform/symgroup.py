@@ -6,7 +6,7 @@ the unique coupling of a tensor product onto a constituent is computed by
 transporting joint eigenvectors of the Jucys-Murphy elements.  The headline
 checks: the degree-5 quadratic relation between the projections of a tensor
 square of the standard module, with coefficients (32, 100, 25, -180), and
-its conjectured analogue for degrees 6 and 7.
+its conjectured analogue for degrees 6 to 8.
 
 All linear algebra is over the integers.  Kernels, ranks and the coupling
 solve share one fraction-free row reduction (_row_reduce) that keeps every
@@ -17,13 +17,21 @@ product of column sort signs), and the basis is unitriangular on the
 standard tableaux's own column tabloids (Sagan, The Symmetric Group, 2nd
 ed., section 2.5), so coordinates are a forward substitution of those
 values (see _ColumnSpan).
+
+One action applies a representation to a vector: _tensor_apply, of
+Q_l(g) x Q_m(g), with a single module V_n taken as V_n x V_(d) for the
+trivial V_(d).  The Jucys-Murphy eigenspaces, the transport and the
+equivariance check of a coupling all go through it.  Each degree's relation
+system is built once, from the raw couplings (_pointwise_rows); at d = 5
+the anchoring and basis signs enter as one factor per coupling, which
+rescales the system's four columns.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polycore import _primitive
@@ -466,8 +474,11 @@ def _content_path(mod: _ColumnSpan) -> Dict[int, int]:
     return out
 
 
-def _tensor_apply(ql: Matrix, qm: Matrix, vec: Sequence[int]) -> List[int]:
-    # (ql x qm) applied to a vector of length dim(l) * dim(m)
+def _tensor_apply(lmod: _ColumnSpan, mmod: _ColumnSpan, g: Perm,
+                  vec: Sequence[int]) -> List[int]:
+    """(Q_l(g) x Q_m(g)) applied to a vector of length dim(l) * dim(m).  A
+    single module V_n acts as V_n x V_(d), whose matrices are ((1,),)."""
+    ql, qm = lmod.matrix(g), mmod.matrix(g)
     dl, dm = len(ql), len(qm)
     out = [0] * (dl * dm)
     for jl in range(dl):
@@ -487,12 +498,23 @@ def _tensor_apply(ql: Matrix, qm: Matrix, vec: Sequence[int]) -> List[int]:
     return out
 
 
-def _eigen_intersect(apply_k, n: int, contents: Dict[int, int], d: int) -> List[List[int]]:
-    """Joint eigenspace of the Jucys-Murphy actions with the given contents."""
+def _jm_action(lmod: _ColumnSpan, mmod: _ColumnSpan, k: int, vec: Sequence[int]) -> List[int]:
+    """The Jucys-Murphy element X_k = (1 k) + ... + (k-1 k) applied to vec."""
+    out = [0] * len(vec)
+    for i in range(1, k):
+        out = list(map(add, out, _tensor_apply(lmod, mmod, swap_perm(i, k, lmod.d), vec)))
+    return out
+
+
+def _eigen_intersect(lmod: _ColumnSpan, mmod: _ColumnSpan,
+                     contents: Dict[int, int]) -> List[List[int]]:
+    """Joint eigenspace in lmod x mmod of the Jucys-Murphy elements with
+    the given contents."""
+    n = lmod.dim * mmod.dim
     basis: List[List[int]] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    for k in range(d, 1, -1):
+    for k in range(lmod.d, 1, -1):
         ck = contents[k]
-        images = [apply_k(k, v) for v in basis]
+        images = [_jm_action(lmod, mmod, k, v) for v in basis]
         nb = len(basis)
         rows = [[images[j][i] - ck * basis[j][i] for j in range(nb)] for i in range(n)]
         kernel = _kernel_basis(rows, nb)
@@ -505,18 +527,10 @@ def _eigen_intersect(apply_k, n: int, contents: Dict[int, int], d: int) -> List[
 
 def _coupling_verify(M: Matrix, lmod, mmod, nmod) -> None:
     d = nmod.d
-    dl, dm, dn = lmod.dim, mmod.dim, nmod.dim
     for g in (transposition_perm(d), cycle_perm(d)):
-        ql, qm, qn = lmod.matrix(g), mmod.matrix(g), nmod.matrix(g)
-        for il in range(dl):
-            for im in range(dm):
-                src = il * dm + im
-                for k in range(dn):
-                    lhs = sum(ql[il][jl] * qm[im][jm] * M[jl * dm + jm][k]
-                              for jl in range(dl) for jm in range(dm))
-                    rhs = sum(M[src][t] * qn[t][k] for t in range(dn))
-                    if lhs != rhs:
-                        raise ArithmeticError("coupling is not equivariant")
+        images = [_tensor_apply(lmod, mmod, g, col) for col in zip(*M)]
+        if tuple(zip(*images)) != _mat_mul(M, nmod.matrix(g)):
+            raise ArithmeticError("coupling is not equivariant")
 
 
 @lru_cache(maxsize=_MAX_COUPLINGS)
@@ -531,29 +545,12 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
     lmod, mmod, nmod = _module(lam), _module(mu), _module(nu)
     d = nmod.d
     dl, dm, dn = lmod.dim, mmod.dim, nmod.dim
+    trivial = _module((d,))
     contents = _content_path(nmod)
-
-    def target_apply(k: int, vec: Sequence[int]) -> List[int]:
-        out = [0] * dn
-        for i in range(1, k):
-            q = nmod.matrix(swap_perm(i, k, d))
-            for r in range(dn):
-                out[r] += sum(q[r][c] * vec[c] for c in range(dn) if vec[c])
-        return out
-
-    def tensor_apply_jm(k: int, vec: Sequence[int]) -> List[int]:
-        out = [0] * (dl * dm)
-        for i in range(1, k):
-            g = swap_perm(i, k, d)
-            part = _tensor_apply(lmod.matrix(g), mmod.matrix(g), vec)
-            for r in range(dl * dm):
-                out[r] += part[r]
-        return out
-
-    wbasis = _eigen_intersect(target_apply, dn, contents, d)
+    wbasis = _eigen_intersect(nmod, trivial, contents)
     if len(wbasis) != 1:
         raise ArithmeticError(f"target eigenspace dimension {len(wbasis)}")
-    vbasis = _eigen_intersect(tensor_apply_jm, dl * dm, contents, d)
+    vbasis = _eigen_intersect(lmod, mmod, contents)
     if len(vbasis) != 1:
         raise ArithmeticError(f"tensor eigenspace dimension {len(vbasis)}")
     w, v = wbasis[0], vbasis[0]
@@ -570,12 +567,10 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
         wx, ux = wcols[tried], ucols[tried]
         tried += 1
         for g in (s, c):
-            qn = nmod.matrix(g)
-            nw = [sum(qn[r][cc] * wx[cc] for cc in range(dn) if wx[cc])
-                  for r in range(dn)]
+            nw = _tensor_apply(nmod, trivial, g, wx)
             if len(wcols) < dn and len(_row_reduce(wcols + [nw], dn)) > len(wcols):
                 wcols.append(nw)
-                ucols.append(_tensor_apply(lmod.matrix(g), mmod.matrix(g), ux))
+                ucols.append(_tensor_apply(lmod, mmod, g, ux))
 
     # M W = U with W, U the matrices of columns wcols, ucols: reducing the
     # rows of [W^T | U^T] leaves a_k e_k on the left and a_k times column k
@@ -614,10 +609,9 @@ def projection_matrix(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) 
 
 _RELATION_TARGET = (32, 100, 25, -180)
 
-# one (row, column, value) anchor per coupling, rows/columns in canonical
-# basis order: the image of basis tensor (1,1) has this coefficient at the
-# stated target coordinate
-_ANCHOR_SPECS = ((0, 0, -3), (0, 1, 2), (0, 0, 2), (0, 1, -2), (0, 0, 2))
+# the five couplings as (first factor, second factor, target) indices into
+# the (standard, two-row, trivial) shapes of _relation_shapes
+_RELATION_COUPLINGS = ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (1, 1, 0))
 _COUPLING_NAMES = (
     "standard*standard->standard",
     "standard*standard->two-row",
@@ -625,6 +619,11 @@ _COUPLING_NAMES = (
     "standard*two-row->standard",
     "two-row*two-row->standard",
 )
+
+# one (column, value) anchor per coupling, columns in canonical basis
+# order: the image of basis tensor (1,1) has this coefficient at the stated
+# target coordinate
+_ANCHOR_SPECS = ((0, -3), (1, 2), (0, 2), (1, -2), (0, 2))
 
 # The basis the anchors and (32, 100, 25, -180) are stated in: diagonal
 # signs (standard module, two-row module) applied to the canonical bases.
@@ -646,58 +645,51 @@ def _relation_shapes(d: int) -> Tuple[Shape, Shape, Shape]:
 
 
 def _five_couplings(d: int) -> FiveMaps:
-    std, two, triv = _relation_shapes(d)
-    return (_coupling(std, std, std),
-            _coupling(std, std, two),
-            _coupling(std, std, triv),
-            _coupling(std, two, std),
-            _coupling(two, two, std))
+    shapes = _relation_shapes(d)
+    return tuple(_coupling(*(shapes[i] for i in trip)) for trip in _RELATION_COUPLINGS)
 
 
-def _twisted(maps: FiveMaps, tau: Sequence[int], sigma: Sequence[int],
-             d1: int, d2: int) -> FiveMaps:
-    # diagonal sign change of basis: tau on the standard module, sigma on
-    # the two-row module; couplings pick up source and target signs
-    p1, p2, p3, h1, h2 = maps
-    tp1 = [[p1[a * d1 + b][k] * tau[k] * tau[a] * tau[b] for k in range(d1)]
-           for a in range(d1) for b in range(d1)]
-    tp2 = [[p2[a * d1 + b][k] * sigma[k] * tau[a] * tau[b] for k in range(d2)]
-           for a in range(d1) for b in range(d1)]
-    tp3 = [[p3[a * d1 + b][0] * tau[a] * tau[b]] for a in range(d1) for b in range(d1)]
-    th1 = [[h1[a * d2 + b][k] * tau[k] * tau[a] * sigma[b] for k in range(d1)]
-           for a in range(d1) for b in range(d2)]
-    th2 = [[h2[a * d2 + b][k] * tau[k] * sigma[a] * sigma[b] for k in range(d1)]
-           for a in range(d2) for b in range(d2)]
-    return tp1, tp2, tp3, th1, th2
-
-
-def _anchor_values(maps: FiveMaps) -> Tuple[int, ...]:
-    return tuple(M[r][c] for M, (r, c, _) in zip(maps, _ANCHOR_SPECS))
-
-
-def _anchored(maps: FiveMaps) -> FiveMaps:
-    """Rescale each coupling so its anchor entry equals the fixed value."""
+def _anchor_scales(maps: FiveMaps, signs: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
+    """The factor per coupling that puts its anchor entry at the fixed
+    value in the bases changed by the diagonal signs (standard module,
+    two-row module), under which the entry takes the signs of its two source
+    basis vectors and of its target coordinate."""
+    signs = (*signs, (1,))
     out = []
     problems = []
-    for M, (r, c, val), name in zip(maps, _ANCHOR_SPECS, _COUPLING_NAMES):
-        found = M[r][c]
+    for M, (c, val), name, (a, b, t) in zip(maps, _ANCHOR_SPECS, _COUPLING_NAMES,
+                                            _RELATION_COUPLINGS):
+        found = M[0][c] * signs[a][0] * signs[b][0] * signs[t][c]
         if found == 0:
             problems.append(f"{name}: expected {val} at basis tensor (1,1) "
                             f"coordinate {c + 1}, found 0")
-            out.append(M)
-            continue
-        f = Fraction(val, found)
-        out.append([[x * f for x in row] for row in M])
+        else:
+            out.append(Fraction(val, found))
     if problems:
         raise ValueError("normalization anchor mismatch: " + "; ".join(problems))
     return tuple(out)
 
 
-def _pointwise_rows(maps: FiveMaps, d1: int, d2: int) -> List[Tuple]:
-    """One residual row per (basis pair, target coordinate): the relation
-    must vanish on every u (x) v with u, v basis vectors of the standard
-    module."""
-    p1, p2, p3, h1, h2 = maps
+def _anchored_rows(rows: Sequence[Tuple], maps: FiveMaps,
+                   signs: Sequence[Sequence[int]]) -> Tuple[Tuple, ...]:
+    """The relation rows of the couplings maps, as they read once each
+    coupling is rescaled by its _anchor_scales factor.  Scaling the
+    couplings by l1..l5 scales the four terms by l1^3, l1 l2 l4, l2^2 l5 and
+    l1 l3.  The sign change of the bases itself only negates whole rows
+    (each by the sign of its target coordinate), which moves no kernel and
+    no residual, so it enters through the anchors alone."""
+    l1, l2, l3, l4, l5 = _anchor_scales(maps, signs)
+    scale = (l1 ** 3, l1 * l2 * l4, l2 ** 2 * l5, l1 * l3)
+    return tuple(tuple(x * f for x, f in zip(row, scale)) for row in rows)
+
+
+@lru_cache(maxsize=len(RELATION_DEGREES))
+def _pointwise_rows(d: int) -> Tuple[Tuple, ...]:
+    """One residual row per (basis pair, target coordinate) in the raw
+    degree-d couplings: the relation must vanish on every u (x) v with u, v
+    basis vectors of the standard module."""
+    p1, p2, p3, h1, h2 = _five_couplings(d)
+    d1, d2 = len(p1[0]), len(p2[0])
     rows: List[Tuple] = []
     for a in range(d1):
         for b in range(d1):
@@ -714,7 +706,7 @@ def _pointwise_rows(maps: FiveMaps, d1: int, d2: int) -> List[Tuple]:
             for k in range(d1):
                 if t1[k] or t2[k] or t3[k] or t4[k]:
                     rows.append((t1[k], t2[k], t3[k], t4[k]))
-    return rows
+    return tuple(rows)
 
 
 def _kernel_coefficients(rows: Sequence[Tuple]) -> Tuple[int, Optional[Tuple[int, ...]]]:
@@ -731,21 +723,18 @@ def _residual_vanishes(rows: Sequence[Tuple], coeffs: Sequence[int]) -> bool:
 @lru_cache(maxsize=1)
 def _matched_s5_system() -> Tuple:
     """The d=5 system in the anchored scaling, on the canonical bases
-    changed by the stated signs _S5_BASIS_SIGNS.
+    changed by the stated signs _S5_BASIS_SIGNS, from the one row build.
 
     Returns (rows, tau, sigma, matched_scaling, raw_anchor_values,
     raw_coefficients, anchored_coefficients)."""
-    d = 5
-    std, two, _ = _relation_shapes(d)
-    d1, d2 = _module(std).dim, _module(two).dim
-    raw = _five_couplings(d)
-    _, raw_coeffs = _kernel_coefficients(_pointwise_rows(raw, d1, d2))
-    _, plain_coeffs = _kernel_coefficients(_pointwise_rows(_anchored(raw), d1, d2))
+    raw, rows = _five_couplings(5), _pointwise_rows(5)
     tau, sigma = _S5_BASIS_SIGNS
-    rows = _pointwise_rows(_anchored(_twisted(raw, tau, sigma, d1, d2)), d1, d2)
+    canonical = ((1,) * len(tau), (1,) * len(sigma))
     scaling = "anchored+transition" if -1 in tau + sigma else "anchored"
-    return (tuple(rows), tau, sigma, scaling, _anchor_values(raw),
-            raw_coeffs, plain_coeffs)
+    return (_anchored_rows(rows, raw, (tau, sigma)), tau, sigma, scaling,
+            tuple(M[0][c] for M, (c, _) in zip(raw, _ANCHOR_SPECS)),
+            _kernel_coefficients(rows)[1],
+            _kernel_coefficients(_anchored_rows(rows, raw, canonical))[1])
 
 
 @dataclass(frozen=True)
@@ -850,9 +839,7 @@ def _relation_system(d: int) -> Tuple[Sequence[Tuple], str]:
     if d == 5:
         rows, _, _, scaling, _, _, _ = _matched_s5_system()
         return rows, scaling
-    std, two, _ = _relation_shapes(d)
-    d1, d2 = _module(std).dim, _module(two).dim
-    return _pointwise_rows(_five_couplings(d), d1, d2), "raw"
+    return _pointwise_rows(d), "raw"
 
 
 def test_conjecture(d: int) -> ConjectureReport:

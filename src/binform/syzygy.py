@@ -377,12 +377,11 @@ def verify_table(table: SyzygyTable, trials: int, seed: int, symbolic: bool = Fa
 # ---------------------------------------------------------------------------
 
 
-def reconstruct(u0: BinaryForm, u1: BinaryForm, m: int, n: int,
-                point: LatticePoint = (0, 0)) -> List[BinaryForm]:
+def reconstruct(u0: BinaryForm, u1: BinaryForm, m: int, n: int) -> List[BinaryForm]:
     """Recover u_2 .. u_min(m,n) from u_0 and u_1.
 
-    At each weight the u_r coefficient of the syzygy at `point` is divided
-    out; only (0,0) guarantees it is nonzero, so that is the default.
+    At each weight the u_r coefficient of the syzygy at lattice point (0,0)
+    is divided out; that point guarantees it is nonzero.
     """
     if u0.pair != u1.pair:
         raise ValueError("forms are over different pairs")
@@ -393,10 +392,10 @@ def reconstruct(u0: BinaryForm, u1: BinaryForm, m: int, n: int,
     us = [_int_coeffs(u0), _int_coeffs(u1)]
     out = []
     for r in range(2, min(m, n) + 1):
-        tab = vartheta_table(m, n, r, point)
+        tab = vartheta_table(m, n, r, (0, 0))
         th = tab.coeffs[(0, r)]
         if th == 0:
-            raise ValueError(f"syzygy at point {point} cannot isolate weight {r}")
+            raise ValueError(f"syzygy cannot isolate weight {r}")
         parts = []
         for (i, j), c in tab.coeffs.items():
             if (i, j) != (0, r) and c:

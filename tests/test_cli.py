@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and the suite runner."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -272,6 +273,18 @@ class TestSymCommands:
         r = _run("sym", "tableaux")
         assert r.returncode == 2
 
+    def test_degree_five_report_and_symgroup_suite_pinned(self, capsys):
+        # sha256 of `sym verify --d 5 --format json` and of `verify --suite
+        # symgroup --format json` without its elapsed fields
+        assert main(["sym", "verify", "--d", "5", "--format", "json"]) == 0
+        d5 = capsys.readouterr().out
+        assert main(["verify", "--suite", "symgroup", "--format", "json"]) == 0
+        suite = json.dumps(_strip_elapsed(json.loads(capsys.readouterr().out)), sort_keys=True)
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in (d5, suite)] == [
+            "0ba0b07bb5ba985ec722a3fcc17f04a77997d9201ba1467899aea63b44704893",
+            "8b88f85b85556aa5b42681d92b03ccd38ce86a8f8f81469c65d3a8dc70e745c6",
+        ]
+
 
 class TestMainInProcess:
     def test_main_returns_zero(self, capsys):
@@ -413,6 +426,17 @@ class TestMainInProcess:
         ):
             assert main(argv) == 2
             assert message in capsys.readouterr().err
+
+    def test_reconstruct_orders_below_one_exit_two_naming_the_flags(self, capsys):
+        # u_1 has no meaning there; the forms must not be blamed
+        for argv in (
+            ["reconstruct", "--m", "0", "--n", "0", "--u0", "1", "--u1", "1"],
+            ["reconstruct", "--m", "1", "--n", "0", "--u0", "1 1", "--u1", "1"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "reconstruct takes --m and --n of at least 1" in err
+            assert "--u1" not in err
 
     def test_form_orders_and_trials_at_the_caps_run(self, capsys):
         from binform import seeding

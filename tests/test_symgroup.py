@@ -15,8 +15,10 @@ from binform.symgroup import (
     ConjectureReport,
     RepMatrix,
     S5Report,
-    _anchored,
+    _S5_BASIS_SIGNS,
+    _anchor_scales,
     _coupling,
+    _coupling_verify,
     _five_couplings,
     _kernel_basis,
     _module,
@@ -425,6 +427,21 @@ class TestProjectionMatrix:
         with pytest.raises(ValueError, match="projection not unique"):
             projection_matrix((3, 2), (3, 1, 1), (3, 1, 1))
 
+    @pytest.mark.parametrize("trip", [((3, 1), (3, 1), (2, 2)), ((4, 1), (3, 2), (4, 1))])
+    def test_coupling_verify_rejects_each_changed_entry(self, trip):
+        # the target is irreducible of dimension at least 2, so no matrix
+        # with a single nonzero entry is equivariant: changing any one entry
+        # of the coupling by 1 must be caught
+        M = _coupling(*trip)
+        mods = [_module(sh) for sh in trip]
+        _coupling_verify(M, *mods)
+        for p, row in enumerate(M):
+            for k in range(len(row)):
+                broken = [list(r) for r in M]
+                broken[p][k] += 1
+                with pytest.raises(ArithmeticError, match="coupling is not equivariant"):
+                    _coupling_verify(tuple(map(tuple, broken)), *mods)
+
     def test_equivariance_on_random_words(self):
         rng = seeding.stream(71, "equivariance")
         for lam, mu, nu in [((3, 1), (2, 2), (2, 1, 1)), ((4, 1), (3, 2), (4, 1))]:
@@ -542,7 +559,7 @@ class TestS5Relation:
         broken[0][1] = 0
         maps[1] = broken
         with pytest.raises(ValueError, match="normalization anchor mismatch") as err:
-            _anchored(tuple(maps))
+            _anchor_scales(tuple(maps), _S5_BASIS_SIGNS)
         assert "standard*standard->two-row" in str(err.value)
         assert "expected 2" in str(err.value)
 
