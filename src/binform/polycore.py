@@ -9,10 +9,14 @@ everything else in the package: the omega operator (the 2x2 polarization
 determinant), single-pair polarization, bracket monomials, pair
 substitution, and exact division.  The operators and the product run on
 one set of raw kernels over packed int exponent keys; a MultiForm packs
-its tuple keys at that boundary.  Two steps composed from those kernels,
-a split of one pair into two and a merge of two pairs into one, are the
-one engine behind the 9-j operator chain and the transvectant projection
-and section.  `_primitive` is the package's one split of rational values
+its tuple keys at that boundary.  Two steps, a split of one pair into two
+and a merge of two pairs into one, are the one engine behind the 9-j
+operator chain and the transvectant projection and section.  Each makes
+one pass over its input terms: a merge sends each monomial to one
+monomial times a memoised weight, and a split looks up each source
+monomial's image in a memo filled by the raw kernels on that one
+monomial; the memos hold at most _MAX_MEMO_TERMS image terms each.
+`_primitive` is the package's one split of rational values
 into a content and a primitive int part.  Transvectants of two binary
 forms run on their own dense Leibniz kernel in the transvectant module.
 
@@ -23,6 +27,7 @@ mutated and equal inputs give equal outputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm, perm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -142,25 +147,35 @@ def _raw_mul(t1: Mapping, t2: Mapping) -> dict:
     return out
 
 
+def _omega_terms(r: int, ea1: int, ea2: int, eb1: int, eb2: int) -> list:
+    """(k, c) for the terms c * a1^(ea1-r+k) a2^(ea2-k) b1^(eb1-k) b2^(eb2-r+k)
+    that omega^r sends a1^ea1 a2^ea2 b1^eb1 b2^eb2 to.
+
+    omega = d/da1 d/db2 - d/da2 d/db1, so omega^r is
+    sum_k (-1)^k C(r,k) da1^(r-k) da2^k db1^k db2^(r-k), and
+    c = (-1)^k C(r,k) (ea1)_(r-k) (ea2)_k (eb1)_k (eb2)_(r-k).
+    """
+    terms = []
+    for k in range(max(0, r - ea1, r - eb2), min(r, ea2, eb1) + 1):
+        i = r - k
+        c = comb(r, k) * perm(ea1, i) * perm(ea2, k) * perm(eb1, k) * perm(eb2, i)
+        terms.append((k, -c if k & 1 else c))
+    return terms
+
+
 def _raw_omega_power(terms: Mapping, w: int, a: str, b: str, r: int) -> Mapping:
-    # omega = d/da1 d/db2 - d/da2 d/db1, expanded to the r-th power in one
-    # pass: sum_k (-1)^k C(r,k) da1^(r-k) da2^k db1^k db2^(r-k).
     if r == 0:
         return terms
     (a1, a2), (b1, b2) = _offsets(w, a), _offsets(w, b)
     mask = (1 << w) - 1
-    binoms = [-comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)]
     moves = [((r - k) << a1) + (k << a2) + (k << b1) + ((r - k) << b2) for k in range(r + 1)]
     out: dict = {}
     get = out.get
     for key, c in terms.items():
-        ea1, ea2 = key >> a1 & mask, key >> a2 & mask
-        eb1, eb2 = key >> b1 & mask, key >> b2 & mask
-        for k in range(max(0, r - ea1, r - eb2), min(r, ea2, eb1) + 1):
-            i = r - k
+        for k, ck in _omega_terms(r, key >> a1 & mask, key >> a2 & mask,
+                                  key >> b1 & mask, key >> b2 & mask):
             nk = key - moves[k]
-            nc = get(nk, 0) + (c * binoms[k] * perm(ea1, i) * perm(ea2, k)
-                               * perm(eb1, k) * perm(eb2, i))
+            nc = get(nk, 0) + c * ck
             if nc:
                 out[nk] = nc
             else:
@@ -215,19 +230,125 @@ def _raw_bracket_power(w: int, a: str, b: str, r: int) -> dict:
             -comb(r, k) if k & 1 else comb(r, k) for k in range(r + 1)}
 
 
+# ---------------------------------------------------------------------------
+# The split and merge steps.
+#
+# Each step makes one pass over its input terms.  The image of a term
+# depends only on its exponents in the pairs the step reads, so images are
+# memoised.  A merge sends each monomial to exactly one monomial: the r+1
+# terms omega^r makes of a1^ea1 a2^ea2 b1^eb1 b2^eb2 all land on
+# dst1^(ea1+eb1-r) dst2^(ea2+eb2-r) once both pairs are substituted, so the
+# image is one weight, the sum of the `_omega_terms` coefficients.  A split
+# sends src1^e1 src2^e2 to the same terms wherever it sits, shifted, so the
+# image is the kernel composition run once on that monomial alone, stored
+# as (key offset, coefficient) items.  The memos are module globals looked
+# up at call time.  Each holds at most _MAX_MEMO_TERMS image terms and
+# drops its oldest half when full: a dict scans past the slots its deleted
+# oldest entries leave, so dropping them one at a time would be quadratic.
+# ---------------------------------------------------------------------------
+
+_MAX_MEMO_TERMS = 1 << 16
+
+
+class _Images(dict):
+    """Split images by step signature (w, src, a, b, ja, jb, j), then by
+    source monomial, with the number of image terms stored."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        super().__init__()
+        self.terms = 0
+
+
+_split_images = _Images()
+
+_merge_weights: dict = {}  # (r, ea1, ea2, eb1, eb2) -> weight, one term each
+
+
+def _oldest_half(memo: dict) -> list:
+    return list(islice(memo, (len(memo) + 1) // 2))
+
+
 def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
     """Split pair src, of order j, into pairs a and b of orders ja and jb."""
-    t = _raw_polarize(t, w, src, a, (ja + j - jb) // 2)
+    field = ((1 << 2 * w) - 1) << _offsets(w, src)[0]  # both src fields
+    sig = (w, src, a, b, ja, jb, j)
+    images = _split_images.get(sig, {})
+    out: dict = {}
+    get = out.get
+    for key, c in t.items():
+        mono = key & field
+        image = images.get(mono)
+        if image is None:
+            image = _split_image(sig, mono)
+            images = _split_images.get(sig, images)
+        for move, ci in image:
+            nk = key + move
+            nc = get(nk, 0) + c * ci
+            if nc:
+                out[nk] = nc
+            else:
+                del out[nk]
+    return out
+
+
+def _split_image(sig: tuple, mono: int) -> tuple:
+    """The split with signature sig of the one monomial mono, as
+    (key offset, coefficient) items, stored in the split memo."""
+    w, src, a, b, ja, jb, j = sig
+    t = _raw_polarize({mono: 1}, w, src, a, (ja + j - jb) // 2)
     t = _raw_polarize(t, w, src, b, (jb + j - ja) // 2)
     r = (ja + jb - j) // 2
-    return _raw_mul(t, _raw_bracket_power(w, a, b, r)) if r else t
+    if r:
+        t = _raw_mul(t, _raw_bracket_power(w, a, b, r))
+    image = tuple([(key - mono, c) for key, c in t.items()])
+    memo = _split_images
+    if len(image) <= _MAX_MEMO_TERMS:
+        while memo and memo.terms + len(image) > _MAX_MEMO_TERMS:
+            for old in _oldest_half(memo):
+                memo.terms -= sum(map(len, memo.pop(old).values()))
+        memo.setdefault(sig, {})[mono] = image
+        memo.terms += len(image)
+    return image
 
 
 def _merge(t: dict, w: int, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
     """Couple pairs a and b, of orders ja and jb, to order jab in pair dst,
     which may be one of them."""
-    t = _raw_omega_power(t, w, a, b, (ja + jb - jab) // 2)
-    return _raw_substitute(_raw_substitute(t, w, a, dst), w, b, dst)
+    r = (ja + jb - jab) // 2
+    (a1, a2), (b1, b2), (d1, d2) = _offsets(w, a), _offsets(w, b), _offsets(w, dst)
+    mask = (1 << w) - 1
+    keep = ~((mask << a1) | (mask << a2) | (mask << b1) | (mask << b2))
+    weights = _merge_weights
+    out: dict = {}
+    get = out.get
+    for key, c in t.items():
+        ea1, ea2, eb1, eb2 = key >> a1 & mask, key >> a2 & mask, key >> b1 & mask, key >> b2 & mask
+        exps = (r, ea1, ea2, eb1, eb2)
+        weight = weights.get(exps)
+        if weight is None:
+            weight = _merge_weight(exps)
+        if weight:
+            nk = (key & keep) + ((ea1 + eb1 - r) << d1) + ((ea2 + eb2 - r) << d2)
+            nc = get(nk, 0) + c * weight
+            if nc:
+                out[nk] = nc
+            else:
+                del out[nk]
+    return out
+
+
+def _merge_weight(exps: tuple) -> int:
+    """The merge weight of exps = (r, ea1, ea2, eb1, eb2), stored in the
+    merge memo."""
+    weight = sum([c for _, c in _omega_terms(*exps)])
+    memo = _merge_weights
+    if len(memo) >= _MAX_MEMO_TERMS:
+        for old in _oldest_half(memo):
+            del memo[old]
+    memo[exps] = weight
+    return weight
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 from itertools import product
 from math import comb, gcd, perm, prod
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binform import polycore
 from binform.polycore import (
     MultiForm,
     _primitive,
@@ -26,6 +28,7 @@ from binform.polycore import (
     substitute_pair,
     to_json_dict,
 )
+from binform.wigner import NineJArray, ninej_operator
 
 
 def mono(exps, c=1):
@@ -384,3 +387,102 @@ def test_primitive_of_empty_and_zero_values():
     assert _primitive([0, F(0)]) == (0, [0, 0])
     assert _primitive([F(-6, 35), 0, F(4, 21)]) == (F(2, 105), [-9, 0, 10])
     assert _primitive([-4, 6, 0]) == (2, [-2, 3, 0])
+
+
+# -- the one-pass split and merge steps --------------------------------------
+#
+# The three-pass compositions of the raw kernels that the steps replaced are
+# the oracle: a split polarizes twice and multiplies by the bracket power, a
+# merge applies the omega power and substitutes both pairs into dst.
+
+
+def _split_three_pass(t, w, src, a, b, ja, jb, j):
+    t = polycore._raw_polarize(t, w, src, a, (ja + j - jb) // 2)
+    t = polycore._raw_polarize(t, w, src, b, (jb + j - ja) // 2)
+    r = (ja + jb - j) // 2
+    return polycore._raw_mul(t, polycore._raw_bracket_power(w, a, b, r)) if r else t
+
+
+def _merge_three_pass(t, w, a, b, dst, ja, jb, jab):
+    t = polycore._raw_omega_power(t, w, a, b, (ja + jb - jab) // 2)
+    return polycore._raw_substitute(polycore._raw_substitute(t, w, a, dst), w, b, dst)
+
+
+_STEP_PAIRS = ("p", "u", "x", "y")
+_STEP_WIDTH = 5  # holds every exponent a step below can make: 3 + 4 + 4 < 32
+
+
+@st.composite
+def step_terms(draw):
+    """Terms over _STEP_PAIRS with exponents up to 3, not homogeneous in any
+    pair, with int or Fraction coefficients: a list of (exps, c)."""
+    coeff = draw(st.sampled_from((st.integers(-50, 50), st.fractions(-50, 50, max_denominator=12))))
+    exps = st.tuples(*[st.integers(0, 3)] * (2 * len(_STEP_PAIRS)))
+    return draw(st.lists(st.tuples(exps, coeff.filter(bool)), min_size=1, max_size=6))
+
+
+def _packed(terms, w):
+    out = {}
+    for exps, c in terms:
+        key = polycore._key(w, **{name: exps[2 * i: 2 * i + 2] for i, name in enumerate(_STEP_PAIRS)})
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+_triads = st.tuples(*[st.integers(0, 4)] * 3).filter(
+    lambda t: sum(t) % 2 == 0 and max(t) <= sum(t) - max(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_terms(), st.permutations(_STEP_PAIRS), _triads, st.integers(0, 2))
+def test_steps_equal_the_three_pass_compositions(terms, roles, orders, dst_role):
+    one, two, three = roles[:3]
+    ja, jb, j = orders
+    # the other width runs first, so the memos are warm from it
+    for w in (_STEP_WIDTH + 1, _STEP_WIDTH):
+        t = _packed(terms, w)
+        assert polycore._split(t, w, one, two, three, ja, jb, j) == \
+            _split_three_pass(t, w, one, two, three, ja, jb, j)
+        dst = (one, two, three)[dst_role]  # a, b or a third pair
+        assert polycore._merge(t, w, one, two, dst, ja, jb, j) == \
+            _merge_three_pass(t, w, one, two, dst, ja, jb, j)
+
+
+def _stored_terms():
+    images = polycore._split_images
+    return sum(len(image) for group in images.values() for image in group.values())
+
+
+def test_step_memos_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(polycore, "_MAX_MEMO_TERMS", 40)
+    monkeypatch.setattr(polycore, "_split_images", polycore._Images())
+    monkeypatch.setattr(polycore, "_merge_weights", {})
+    rng = random.Random(5)
+    stored = []
+    for _ in range(300):
+        terms = [(tuple(rng.randint(0, 3) for _ in range(8)), rng.randint(-9, 9) or 1)
+                 for _ in range(4)]
+        ja, jb, j = rng.choice([(1, 1, 2), (2, 2, 2), (3, 2, 1), (4, 3, 3), (4, 4, 4)])
+        t = _packed(terms, _STEP_WIDTH)
+        assert polycore._split(t, _STEP_WIDTH, "x", "y", "p", ja, jb, j) == \
+            _split_three_pass(t, _STEP_WIDTH, "x", "y", "p", ja, jb, j)
+        assert polycore._merge(t, _STEP_WIDTH, "x", "y", "u", ja, jb, j) == \
+            _merge_three_pass(t, _STEP_WIDTH, "x", "y", "u", ja, jb, j)
+        assert polycore._split_images.terms == _stored_terms() <= 40
+        assert len(polycore._merge_weights) <= 40
+        stored.append(_stored_terms())
+    assert any(b < a for a, b in zip(stored, stored[1:]))  # the bound evicted
+
+
+def test_a_fault_under_fresh_memos_does_not_outlive_them(monkeypatch):
+    arr = NineJArray([[1, "1/2", "3/2"], ["1/2", 1, "3/2"], ["3/2", "3/2", 2]])
+    true = ninej_operator(arr)
+    assert (true.coeff, true.radicand) == (F(1, 48), 1)
+    polarize_ = polycore._raw_polarize
+    with monkeypatch.context() as patch:
+        patch.setattr(polycore, "_split_images", polycore._Images())
+        patch.setattr(polycore, "_merge_weights", {})
+        patch.setattr(polycore, "_raw_polarize",
+                      lambda t, *args: {k: 2 * c for k, c in polarize_(t, *args).items()})
+        assert ninej_operator(arr) != true
+    assert ninej_operator(arr) == true

@@ -480,11 +480,17 @@ class TestPackedChainKeys:
             js = [F(v, 2) for v in tjs]
             assert sixj(js) == racah_sixj(js), tjs
 
-    def test_corrupted_chain_step_is_caught(self, monkeypatch):
+    @pytest.fixture
+    def fresh_step_memos(self, monkeypatch):
+        # no step image computed under a fault outlives the test
+        monkeypatch.setattr(polycore, "_split_images", polycore._Images())
+        monkeypatch.setattr(polycore, "_merge_weights", {})
+
+    def test_corrupted_chain_step_is_caught(self, monkeypatch, fresh_step_memos):
         # a last merge that leaves its source pairs in place cannot end at z1^(2J)
-        substitute = polycore._raw_substitute
-        monkeypatch.setattr(polycore, "_raw_substitute", lambda t, w, src, dst:
-                            dict(t) if dst == "z" else substitute(t, w, src, dst))
+        merge = wigner._merge
+        monkeypatch.setattr(wigner, "_merge", lambda t, w, a, b, dst, *orders:
+                            dict(t) if dst == "z" else merge(t, w, a, b, dst, *orders))
         with pytest.raises(ValueError, match="operator chain inconsistent"):
             ninej_operator(_mk([[2, 1, 3], [1, 2, 3], [3, 3, 4]]))
         with pytest.raises(ValueError, match="operator chain inconsistent"):
@@ -492,10 +498,11 @@ class TestPackedChainKeys:
         with pytest.raises(ValueError, match="operator chain inconsistent"):
             kappa_oracle(5, 3, 3, 0, 1, (0, 0))
 
-    def test_chain_step_dropping_every_term_fails_the_checks(self, monkeypatch):
+    def test_chain_step_dropping_every_term_fails_the_checks(self, monkeypatch,
+                                                             fresh_step_memos):
         # an empty chain reads as the scalar 0 with no error, so only the
         # comparison with a second route in each check can catch it
-        monkeypatch.setattr(polycore, "_raw_substitute", lambda t, w, src, dst: {})
+        monkeypatch.setattr(wigner, "_merge", lambda *args: {})
         assert ninej_operator(_mk([[2, 1, 3], [1, 2, 3], [3, 3, 4]])).is_zero()
         ok, _, actual = checks.check_ninej_routes(42, 5)
         assert not ok and actual.startswith("route mismatch")
