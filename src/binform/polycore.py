@@ -31,8 +31,6 @@ from itertools import islice
 from math import comb, gcd, lcm, perm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
-
 Coeff = Union[int, Fraction]
 
 PAIR_NAMES = ("p", "q", "u", "v", "w", "x", "y", "z")
@@ -664,10 +662,6 @@ def omega_power(f: MultiForm, a: str, b: str, r: int) -> MultiForm:
     return _packed_op(f, f.pairs, w, _raw_omega_power, w, a, b, r)
 
 
-def omega(f: MultiForm, a: str, b: str) -> MultiForm:
-    return omega_power(f, a, b, 1)
-
-
 def polarize(f: MultiForm, src: str, dst: str, ell: int) -> MultiForm:
     """Apply the polarization operator (dst . d/dsrc) ell times in one pass.
 
@@ -701,10 +695,6 @@ def bracket_power(a: str, b: str, r: int) -> MultiForm:
     w = _width(r)
     pairs = tuple(sorted((a, b)))
     return MultiForm._make(pairs, _unpack(_raw_bracket_power(w, a, b, r), pairs, w))
-
-
-def bracket(a: str, b: str) -> MultiForm:
-    return bracket_power(a, b, 1)
 
 
 def substitute_pair(f: MultiForm, src: str, dst: str) -> MultiForm:
@@ -743,35 +733,3 @@ def linear_substitute(f: MultiForm, pair: str, coeffs: tuple) -> MultiForm:
                     del out[nk]
     return MultiForm._make(f.pairs, out)
 
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def to_json_dict(f: MultiForm) -> dict:
-    orders = {
-        name: ("inhomogeneous" if f.orders[name] is None else f.orders[name])
-        for name in f.pairs
-    }
-    terms = []
-    for key in sorted(f.terms, reverse=True):
-        exps = {name: [key[2 * i], key[2 * i + 1]] for i, name in enumerate(f.pairs)}
-        terms.append({"exps": exps, "coeff": str(f.terms[key])})
-    return {"orders": orders, "terms": terms}
-
-
-def from_json_dict(data: Mapping) -> MultiForm:
-    orders = {
-        name: (None if o == "inhomogeneous" else int(o))
-        for name, o in data["orders"].items()
-    }
-    pairs = tuple(sorted(orders))
-    terms: dict = {}
-    for entry in data["terms"]:
-        key = []
-        for name in pairs:
-            e1, e2 = entry["exps"].get(name, (0, 0))
-            key.extend((int(e1), int(e2)))
-        terms[tuple(key)] = Fraction(entry["coeff"])
-    return MultiForm(orders, terms)

@@ -34,7 +34,7 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .polycore import _primitive
+from .polycore import _oldest_half, _primitive
 
 Shape = Tuple[int, ...]
 Perm = Tuple[int, ...]  # perm[k] = image of k + 1, entries 1..d
@@ -114,33 +114,11 @@ def swap_perm(i: int, k: int, d: int) -> Perm:
     return tuple(p)
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    # apply q first, then p
-    return tuple(p[q[k] - 1] for k in range(len(p)))
-
-
 def inverse_perm(p: Perm) -> Perm:
     out = [0] * len(p)
     for k, v in enumerate(p):
         out[v - 1] = k + 1
     return tuple(out)
-
-
-def perm_sign(p: Perm) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for k in range(len(p)):
-        if seen[k]:
-            continue
-        length = 0
-        j = k
-        while not seen[j]:
-            seen[j] = True
-            j = p[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +130,6 @@ def perm_sign(p: Perm) -> int:
 class StandardTableau:
     shape: Shape
     rows: Tuple[Tuple[int, ...], ...]
-
-    def reading_word(self) -> Tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
 
     def column_word(self) -> Tuple[int, ...]:
         return tuple(self.rows[r][c]
@@ -341,8 +316,9 @@ class _ColumnSpan:
         q_inv = q if inv == perm else self._image(inv)
         if _mat_mul(q, q_inv) != _identity_matrix(self.dim):
             raise ArithmeticError("matrices of a permutation and its inverse are not inverse")
-        while len(self._matrices) >= _MAX_MATRICES - 1:
-            del self._matrices[next(iter(self._matrices))]
+        while self._matrices and len(self._matrices) >= _MAX_MATRICES - 1:
+            for old in _oldest_half(self._matrices):
+                del self._matrices[old]
         self._matrices[perm] = q
         self._matrices[inv] = q_inv
         return q
@@ -358,15 +334,6 @@ class RepMatrix:
     shape: Shape
     label: str
     entries: Matrix
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
-
-
-def rep_matrix(shape: Iterable[int], perm: Perm) -> RepMatrix:
-    sh = check_shape(shape)
-    mod = _module(sh)
-    return RepMatrix(sh, "".join(str(v) for v in perm), mod.matrix(perm))
 
 
 def generator_matrices(shape: Iterable[int]) -> Tuple[RepMatrix, RepMatrix]:
@@ -859,9 +826,3 @@ def test_conjecture(d: int) -> ConjectureReport:
         passed = passed and coeffs == _RELATION_TARGET
     return ConjectureReport(d, coupling_mult, wedge_mult, kdim, coeffs,
                             c4_nonzero, scaling, passed)
-
-
-def relation_residual_vanishes(d: int, coefficients: Sequence[int]) -> bool:
-    """Whether the four-term combination with these coefficients vanishes on
-    every basis pair, in the same scaling test_conjecture uses for d."""
-    return _residual_vanishes(_relation_system(d)[0], coefficients)

@@ -21,7 +21,7 @@ from math import factorial, lcm, perm
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import seeding
-from .polycore import MultiForm, add, exact_divide, mul, negate, scale
+from .polycore import MultiForm, _oldest_half, add, exact_divide, mul, negate, scale
 from .transvectant import (
     BinaryForm,
     _from_ints,
@@ -192,17 +192,6 @@ class SyzygyTable:
             "coeffs": {f"{i},{j}": str(c) for (i, j), c in sorted(self.coeffs.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, data) -> "SyzygyTable":
-        point = data["point"]
-        if isinstance(point, list):
-            point = tuple(point)
-        coeffs = {}
-        for key, val in data["coeffs"].items():
-            i, j = key.split(",")
-            coeffs[(int(i), int(j))] = Fraction(val)
-        return cls(data["m"], data["n"], data["r"], point, coeffs)
-
 
 def _index_pairs(r: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(r + 1) for j in range(i, r - i + 1)]
@@ -280,10 +269,10 @@ class VerifyResult:
     residual: Optional[MultiForm] = None
 
 
-# Sampled pairs by (m, n, seed, trial, symbolic), evicted oldest first.  The
-# bound is above the 147 entries the form-syzygies benchmark holds and the
-# 245 that `verify --suite all` holds at its default 5 trials, so neither
-# evicts.
+# Sampled pairs by (m, n, seed, trial, symbolic); the oldest half is dropped
+# when full.  The bound is above the 147 entries the form-syzygies benchmark
+# holds and the 245 that `verify --suite all` holds at its default 5 trials,
+# so neither evicts.
 _MAX_DRAWS = 512
 _draw_cache: Dict[tuple, tuple] = {}
 
@@ -307,8 +296,9 @@ def _sample_pair(m: int, n: int, seed: int, trial: int, symbolic: bool):
         A = random_binary_form(m, rng)
         B = random_binary_form(n, rng)
     entry = (A, B, {}, {})
-    while len(_draw_cache) >= _MAX_DRAWS:
-        del _draw_cache[next(iter(_draw_cache))]
+    if len(_draw_cache) >= _MAX_DRAWS:
+        for old in _oldest_half(_draw_cache):
+            del _draw_cache[old]
     _draw_cache[key] = entry
     return entry
 
@@ -430,6 +420,8 @@ def _wrap(F: MultiForm) -> BinaryForm:
 
 
 def _tv(F: MultiForm, G: MultiForm, s: int) -> MultiForm:
+    if not (F and G):
+        return MultiForm.zero()
     return transvect(_wrap(F), _wrap(G), s).form
 
 

@@ -205,9 +205,9 @@ def transvect(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     if A.pair != B.pair:
         raise ValueError("forms are over different pairs")
     m, n = A.order, B.order
-    if A.is_zero() or B.is_zero():
-        return BinaryForm(A.pair, max(m + n - 2 * r, 0), MultiForm.zero())
     _check_index(m, n, r)
+    if A.is_zero() or B.is_zero():
+        return BinaryForm(A.pair, m + n - 2 * r, MultiForm.zero())
     return _from_ints(A.pair, *_transvect_ints(*_int_coeffs(A), *_int_coeffs(B), m, n, r))
 
 
@@ -232,9 +232,9 @@ def transvect_derivative(A: BinaryForm, B: BinaryForm, r: int) -> BinaryForm:
     if A.pair != B.pair:
         raise ValueError("forms are over different pairs")
     m, n = A.order, B.order
-    if A.is_zero() or B.is_zero():
-        return BinaryForm(A.pair, max(m + n - 2 * r, 0), MultiForm.zero())
     _check_index(m, n, r)
+    if A.is_zero() or B.is_zero():
+        return BinaryForm(A.pair, m + n - 2 * r, MultiForm.zero())
     total: dict = {}
     for i in range(r + 1):
         c = -comb(r, i) if i % 2 else comb(r, i)

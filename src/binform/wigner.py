@@ -47,10 +47,6 @@ class HalfInt:
         if not isinstance(self.twice, int) or self.twice < 0:
             raise ValueError(f"not a nonnegative half-integer: {self.twice}/2")
 
-    @staticmethod
-    def of(value: HalfIntLike) -> "HalfInt":
-        return value if isinstance(value, HalfInt) else HalfInt(_signed_twice(value))
-
     def __str__(self) -> str:
         return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
 
@@ -99,10 +95,6 @@ class QuadraticSurd:
     def zero() -> "QuadraticSurd":
         return QuadraticSurd(Fraction(0), 1)
 
-    @staticmethod
-    def from_rational(q) -> "QuadraticSurd":
-        return QuadraticSurd(Fraction(q), 1)
-
     def is_zero(self) -> bool:
         return self.coeff == 0
 
@@ -127,23 +119,6 @@ class QuadraticSurd:
 
     def __neg__(self):
         return QuadraticSurd(-self.coeff, self.radicand)
-
-    def __add__(self, other):
-        if not isinstance(other, QuadraticSurd):
-            other = QuadraticSurd.from_rational(other)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.radicand != other.radicand:
-            raise ValueError("incompatible radicands")
-        return QuadraticSurd(self.coeff + other.coeff, self.radicand)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __abs__(self):
-        return QuadraticSurd(abs(self.coeff), self.radicand)
 
     def __str__(self) -> str:
         if self.radicand == 1:
@@ -224,27 +199,6 @@ def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int])
     return QuadraticSurd(Fraction(cnum, cden), rad)
 
 
-def sqrt_rational(q) -> QuadraticSurd:
-    """sqrt of a small positive rational; factors by trial division."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return QuadraticSurd.zero()
-    n = q.numerator * q.denominator
-    coeff, rad = Fraction(1, q.denominator), 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            coeff *= d
-            n //= d * d
-        if n % d == 0:
-            rad *= d
-            n //= d
-        d += 1
-    return QuadraticSurd(coeff, rad * n)
-
-
 # ---------------------------------------------------------------------------
 # triads
 # ---------------------------------------------------------------------------
@@ -255,15 +209,6 @@ def _triad_defects(j1: int, j2: int, j: int) -> Optional[Tuple[int, int, int]]:
     defects = (j1 + j2 - j, j2 + j - j1, j + j1 - j2)
     # the defects differ by even numbers, so one parity test covers all three
     return defects if min(defects) >= 0 and defects[0] % 2 == 0 else None
-
-
-def is_triad(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike) -> bool:
-    return _triad_defects(_twice(j1), _twice(j2), _twice(j)) is not None
-
-
-def is_stretched(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike) -> bool:
-    defects = _triad_defects(_twice(j1), _twice(j2), _twice(j))
-    return defects is not None and 0 in defects
 
 
 def _require_triad(j1: int, j2: int, j: int, where: str) -> None:
@@ -313,6 +258,13 @@ def _coupling_args(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
 
 
 def _coupling(a1: int, a2: int, a: int, b1: int, b2: int, b: int) -> QuadraticSurd:
+    """Vector coupling coefficient <e_{j1 m1} x e_{j2 m2} | i(e_{jm})>, for
+    the twice-values (j1, j2, j, m1, m2, m) that _coupling_args checks.
+
+    The injection is the isometric Clebsch-Gordan section with the standard
+    (Brussaard/Condon-Shortley) positive phase: its constant is the positive
+    root sqrt((2j1)!(2j2)!(2j+1)! / ((j1+j2+j+1)! and the three defects)).
+    """
     if b1 + b2 != b:
         return QuadraticSurd.zero()
     w = _width(a1, a2, a)
@@ -333,17 +285,6 @@ def _coupling(a1: int, a2: int, a: int, b1: int, b2: int, b: int) -> QuadraticSu
     return (sgn * cf) * surd
 
 
-def coupling_coefficient(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
-                         m1: HalfIntLike, m2: HalfIntLike, m: HalfIntLike) -> QuadraticSurd:
-    """Vector coupling coefficient <e_{j1 m1} x e_{j2 m2} | i(e_{jm})>.
-
-    The injection is the isometric Clebsch-Gordan section with the standard
-    (Brussaard/Condon-Shortley) positive phase: its constant is the positive
-    root sqrt((2j1)!(2j2)!(2j+1)! / ((j1+j2+j+1)! and the three defects)).
-    """
-    return _coupling(*_coupling_args(j1, j2, j, m1, m2, m))
-
-
 def threej(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
            m1: HalfIntLike, m2: HalfIntLike, m: HalfIntLike) -> QuadraticSurd:
     """Wigner 3-j symbol (j1 j2 j; m1 m2 m)."""
@@ -351,7 +292,7 @@ def threej(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
     if b1 + b2 + b != 0:
         return QuadraticSurd.zero()
     sgn = -1 if ((a1 - a2 - b) // 2) % 2 else 1
-    return sgn * _coupling(a1, a2, a, b1, b2, -b) * sqrt_rational(Fraction(1, a + 1))
+    return sgn * _coupling(a1, a2, a, b1, b2, -b) * sqrt_factorial_ratio([a], [a + 1])
 
 
 # ---------------------------------------------------------------------------

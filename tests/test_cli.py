@@ -135,6 +135,13 @@ class TestTransvect:
         assert r.returncode == 2
         assert "expected 3 coefficients" in r.stderr
 
+    @pytest.mark.parametrize("r", ("-1", "5"))
+    @pytest.mark.parametrize("A", ("0 0 0", "1 0 1"))
+    def test_index_out_of_range_exit_two(self, A, r):
+        out = _run("transvect", "--m", "2", "--n", "2", f"--r={r}", "--A", A, "--B", "1 0 1")
+        assert out.returncode == 2
+        assert "transvectant index out of range" in out.stderr
+
 
 class TestSyzygy:
     def test_table_pretty(self):

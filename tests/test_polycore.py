@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -13,20 +12,16 @@ from binform.polycore import (
     MultiForm,
     _primitive,
     add,
-    bracket,
     bracket_power,
     evaluate,
     exact_divide,
-    from_json_dict,
     linear_substitute,
     mul,
     negate,
-    omega,
     omega_power,
     polarize,
     scale,
     substitute_pair,
-    to_json_dict,
 )
 from binform.wigner import NineJArray, ninej_operator
 
@@ -49,7 +44,7 @@ def pair_power(pair, linear, e):
 
 def test_omega_on_x1y2():
     f = mono({"x": (1, 0), "y": (0, 1)})
-    assert omega(f, "x", "y") == MultiForm.constant(1)
+    assert omega_power(f, "x", "y", 1) == MultiForm.constant(1)
 
 
 def test_polarize_x1x2_twice():
@@ -70,7 +65,7 @@ def test_evaluate_example():
 
 def test_omega_of_bracket_is_two():
     # the r=1, m=n=1 instance: omega[(xy)] = 2, matching a unit factor of 1/2
-    assert omega(bracket("x", "y"), "x", "y") == MultiForm.constant(2)
+    assert omega_power(bracket_power("x", "y", 1), "x", "y", 1) == MultiForm.constant(2)
 
 
 def test_omega_power_on_bracket_power():
@@ -91,7 +86,7 @@ def test_unknown_pair_rejected():
 def test_inactive_pair_errors():
     f = mono({"x": (2, 0)})
     with pytest.raises(ValueError, match="inactive pair"):
-        omega(f, "x", "y")
+        omega_power(f, "x", "y", 1)
     with pytest.raises(ValueError, match="inactive pair"):
         polarize(f, "y", "z", 1)
     with pytest.raises(ValueError, match="inactive pair"):
@@ -111,7 +106,7 @@ def test_coefficient_at_pruned_pair():
 
 def test_degenerate_bracket():
     with pytest.raises(ValueError, match="degenerate bracket"):
-        bracket("x", "x")
+        bracket_power("x", "x", 1)
 
 
 def test_inexact_division():
@@ -232,26 +227,6 @@ def test_kernels_at_field_boundaries(e):
     assert evaluate(bracket_power("x", "y", e), PT) == (x1 * y2 - x2 * y1) ** e
 
 
-# -- JSON -------------------------------------------------------------------
-
-
-def test_json_round_trip_and_stability():
-    f = mono({"x": (2, 0)}, F(3, 7)) - mono({"x": (1, 1)}, 2) + mono({"x": (0, 2)})
-    d = to_json_dict(f)
-    assert from_json_dict(d) == f
-    assert json.dumps(d) == json.dumps(to_json_dict(from_json_dict(d)))
-    # leading term first
-    assert d["terms"][0]["exps"]["x"] == [2, 0]
-    assert d["terms"][0]["coeff"] == "3/7"
-
-
-def test_json_inhomogeneous_tag():
-    s = add(mono({"x": (1, 0)}), MultiForm.constant(1))
-    d = to_json_dict(s)
-    assert d["orders"]["x"] == "inhomogeneous"
-    assert from_json_dict(d) == s
-
-
 # -- property tests ---------------------------------------------------------
 
 
@@ -308,7 +283,7 @@ def test_omega_antisymmetry(f):
         return
     if f.order("x") < 1 or f.order("y") < 1:
         return
-    assert omega(f, "x", "y") == negate(omega(f, "y", "x"))
+    assert omega_power(f, "x", "y", 1) == negate(omega_power(f, "y", "x", 1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,10 +22,11 @@ from binform.symgroup import (
     _five_couplings,
     _kernel_basis,
     _module,
+    _relation_system,
+    _residual_vanishes,
     character,
     check_shape,
     class_size,
-    compose,
     cycle_perm,
     generator_matrices,
     hook_dimension,
@@ -33,10 +34,7 @@ from binform.symgroup import (
     inverse_perm,
     multiplicity,
     partitions,
-    perm_sign,
     projection_matrix,
-    relation_residual_vanishes,
-    rep_matrix,
     standard_tableaux,
     swap_perm,
     transposition_perm,
@@ -48,6 +46,12 @@ from binform.symgroup import test_conjecture as conjecture_check
 P4 = ((1, -1, 2), (2, 1, 1), (-2, 1, 1), (-1, 2, -1), (-1, 2, 1), (1, 1, 2))
 
 S5_COEFFS = (32, 100, 25, -180)
+
+
+def relation_residual_vanishes(d, coefficients):
+    """Whether the four-term combination vanishes on every basis pair, in
+    the scaling test_conjecture uses for d."""
+    return _residual_vanishes(_relation_system(d)[0], coefficients)
 
 
 def _random_perm(rng, d):
@@ -89,23 +93,16 @@ class TestPartitions:
 
 
 class TestPermutations:
-    def test_signs(self):
-        assert perm_sign(identity_perm(5)) == 1
-        assert perm_sign(transposition_perm(5)) == -1
-        for d in range(2, 8):
-            assert perm_sign(cycle_perm(d)) == (-1) ** (d - 1)
-
-    def test_compose_and_inverse(self):
+    def test_inverse(self):
         rng = seeding.stream(61, "perm")
         for _ in range(20):
             d = rng.randint(2, 7)
-            p, q = _random_perm(rng, d), _random_perm(rng, d)
-            assert compose(p, inverse_perm(p)) == identity_perm(d)
-            assert perm_sign(compose(p, q)) == perm_sign(p) * perm_sign(q)
+            p = _random_perm(rng, d)
+            assert tuple(p[v - 1] for v in inverse_perm(p)) == identity_perm(d)
 
     def test_swap_perm(self):
         assert swap_perm(2, 4, 5) == (1, 4, 3, 2, 5)
-        assert perm_sign(swap_perm(1, 3, 4)) == -1
+        assert swap_perm(1, 3, 4) == (3, 2, 1, 4)
 
 
 class TestStandardTableaux:
@@ -126,7 +123,7 @@ class TestStandardTableaux:
 
     def test_listed_by_row_reading_word(self):
         for sh in [(3, 2), (4, 1), (2, 2, 1), (3, 1, 1)]:
-            words = [t.reading_word() for t in standard_tableaux(sh)]
+            words = [tuple(x for row in t.rows for x in row) for t in standard_tableaux(sh)]
             assert words == sorted(words)
 
     def test_rows_and_columns_increase(self):
@@ -242,7 +239,20 @@ class TestGeneratorMatrices:
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            rep_matrix((3, 1), (1, 2, 3))
+            _module((3, 1)).matrix((1, 2, 3))
+
+    @pytest.mark.parametrize("bound", (2, 3, 7))
+    def test_matrix_memo_over_its_bound(self, monkeypatch, bound):
+        # every permutation of S_5, twice over: the memo drops its oldest
+        # half when full, never holds more than the bound, and what it
+        # returns matches a module that has evicted nothing
+        monkeypatch.setattr(symgroup, "_MAX_MATRICES", bound)
+        mod = symgroup._ColumnSpan((3, 1, 1))
+        perms = list(permutations(range(1, 6)))
+        for perm in perms + perms[::-1]:
+            got = mod.matrix(perm)
+            assert len(mod._matrices) <= bound
+            assert got == symgroup._ColumnSpan((3, 1, 1)).matrix(perm), perm
 
     @pytest.mark.parametrize("owner, attr, broken, message", [
         (symgroup, "_polytabloid_value",

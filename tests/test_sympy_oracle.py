@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from binform.wigner import NineJArray, is_triad, ninej_operator, sixj, threej
+from binform.wigner import NineJArray, ninej_operator, sixj, threej
 
 sympy = pytest.importorskip("sympy")
 from sympy.physics.wigner import wigner_3j, wigner_6j, wigner_9j  # noqa: E402
@@ -25,6 +25,11 @@ def _same(got, want) -> bool:
     square = got.coeff ** 2 * got.radicand
     return (want ** 2 == sympy.Rational(square.numerator, square.denominator)
             and (want > 0) == (got.coeff > 0) and (want < 0) == (got.coeff < 0))
+
+
+def _is_triad(a: int, b: int, c: int) -> bool:
+    """Whether twice-values a, b, c satisfy the triangle and parity rules."""
+    return abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
 
 
 def _triads(tmax):
@@ -55,7 +60,7 @@ def test_sixj_sample():
     while checked < 150:
         tj = [rng.randrange(9) for _ in range(6)]
         a, b, c, d, e, f = tj
-        if not all(is_triad(F(x, 2), F(y, 2), F(z, 2))
+        if not all(_is_triad(x, y, z)
                    for x, y, z in ((a, b, c), (a, e, f), (d, b, f), (d, e, c))):
             continue
         got = sixj([F(x, 2) for x in tj])
@@ -77,7 +82,7 @@ def test_ninej_sample():
         if not all(opts):
             continue
         r3 = tuple(rng.choice(o) for o in opts)
-        if not is_triad(*(F(x, 2) for x in r3)):
+        if not _is_triad(*r3):
             continue
         rows = (r1, r2, r3)
         got = ninej_operator(NineJArray([[F(x, 2) for x in row] for row in rows]))

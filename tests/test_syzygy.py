@@ -216,10 +216,6 @@ class TestVarthetaTable:
                 rank += 1
             assert rank == len(ps), (m, n, r)
 
-    def test_json_round_trip(self):
-        t = vartheta_table(5, 3, 2, (0, 0))
-        assert SyzygyTable.from_json_dict(t.to_json_dict()) == t
-
 
 class TestClosedFormTable:
     @pytest.mark.parametrize("m,n", [(4, 4), (5, 3), (7, 5)])

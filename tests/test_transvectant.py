@@ -113,6 +113,15 @@ class TestTransvect:
         with pytest.raises(ValueError, match="transvectant index out of range"):
             transvect(A, A, 2)
 
+    @pytest.mark.parametrize("r", (-1, 3))
+    @pytest.mark.parametrize("route", (transvect, transvect_derivative))
+    def test_index_out_of_range_with_a_zero_form(self, route, r):
+        # the zero-form shortcut comes after the index check
+        Z, B = BinaryForm.from_coeffs([0, 0, 0]), BinaryForm.from_coeffs([1, 0, 1])
+        for A, C in ((Z, B), (B, Z)):
+            with pytest.raises(ValueError, match="transvectant index out of range"):
+                route(A, C, r)
+
     def test_different_pairs_rejected(self):
         A = BinaryForm.from_coeffs([1, 2])
         B = BinaryForm.from_coeffs([1, 2], pair="y")
