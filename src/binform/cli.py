@@ -332,15 +332,16 @@ def _cmd_sixj(args) -> int:
 _MAX_TABLEAU_BOXES = 100
 _MAX_TABLEAUX = 10_000
 
-# Caps on `sym mult` and `sym projmat`.  At each cap the costliest inputs
-# found take about 1 s per command, start-up included, on 2 shared cores
-# with Python 3.11.  `mult` sums characters over every partition of d: three
-# distinct near-staircase shapes of 29 boxes take 0.7-0.9 s, of 30 boxes
-# 1.2-1.3 s.  `projmat` solves in the tensor space of dimension
-# dim(l) * dim(m) and builds a matrix for every transposition of d:
-# (5,5) x (1^10) -> (2^5), product 42, takes 1.0 s and (4,2,2) x (1^8) ->
-# (3,3,1,1), product 56, 2.6 s; (1^22) x (21,1) -> (2,1^20) takes 0.7-0.9 s
-# and (28,1) x (29) -> (28,1), product 28, 2.5 s.
+# Caps on `sym mult` and `sym projmat`, timed per command with start-up on
+# 2 shared cores with Python 3.11.  `mult` sums characters over every
+# partition of d: three distinct near-staircase shapes of 29 boxes take
+# 0.7-0.9 s, of 30 boxes 1.2-1.3 s.  `projmat` builds a matrix for every
+# transposition of d and works in the tensor space of dimension
+# dim(l) * dim(m).  At the caps (5,5) x (1^10) -> (2^5), product 42, takes
+# 1.2-1.4 s and (1^22) x (21,1) -> (2,1^20) 1.6-1.8 s; past them
+# (4,2,2) x (1^8) -> (3,3,1,1), product 56, takes 1.4-1.6 s,
+# (28,1) x (29) -> (28,1) 4.2-4.3 s and (9,1) x (8,2) -> (7,2,1), product
+# 315, about 24 s.
 _MAX_MULT_BOXES = 29
 _MAX_PROJMAT_BOXES = 22
 _MAX_PROJMAT_DIMS = 42

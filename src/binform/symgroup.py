@@ -3,10 +3,12 @@
 Irreducible representations are realized on standard-tableau bases with
 integer matrices, tensor-product multiplicities come from characters, and
 the unique coupling of a tensor product onto a constituent is computed by
-transporting joint eigenvectors of the Jucys-Murphy elements.  The headline
-checks: the degree-5 quadratic relation between the projections of a tensor
-square of the standard module, with coefficients (32, 100, 25, -180), and
-its conjectured analogue for degrees 6 to 8.
+transporting joint eigenvectors of the Jucys-Murphy elements: one per side,
+a basis vector's image under factors X_k - c, and one row reduction of the
+transported pairs that is also the coupling's solve.  The headline checks:
+the degree-5 quadratic relation between the projections of a tensor square
+of the standard module, with coefficients (32, 100, 25, -180), and its
+conjectured analogue for degrees 6 to 8.
 
 All linear algebra is over the integers.  Kernels, ranks and the coupling
 solve share one fraction-free row reduction (_row_reduce) that keeps every
@@ -20,7 +22,7 @@ values (see _ColumnSpan).
 
 One action applies a representation to a vector: _tensor_apply, of
 Q_l(g) x Q_m(g), with a single module V_n taken as V_n x V_(d) for the
-trivial V_(d).  The Jucys-Murphy eigenspaces, the transport and the
+trivial V_(d).  The Jucys-Murphy eigenvectors, the transport and the
 equivariance check of a coupling all go through it.  Each degree's relation
 system is built once, from the raw couplings (_pointwise_rows); at d = 5
 the anchoring and basis signs enter as one factor per coupling, which
@@ -431,16 +433,6 @@ def multiplicity(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> in
 # ---------------------------------------------------------------------------
 
 
-def _content_path(mod: _ColumnSpan) -> Dict[int, int]:
-    # entry -> column minus row, taken from the first basis tableau
-    t = mod.tableaux[0]
-    out: Dict[int, int] = {}
-    for r, row in enumerate(t.rows):
-        for c, x in enumerate(row):
-            out[x] = c - r
-    return out
-
-
 def _tensor_apply(lmod: _ColumnSpan, mmod: _ColumnSpan, g: Perm,
                   vec: Sequence[int]) -> List[int]:
     """(Q_l(g) x Q_m(g)) applied to a vector of length dim(l) * dim(m).  A
@@ -473,28 +465,41 @@ def _jm_action(lmod: _ColumnSpan, mmod: _ColumnSpan, k: int, vec: Sequence[int])
     return out
 
 
-def _eigen_intersect(lmod: _ColumnSpan, mmod: _ColumnSpan,
-                     contents: Dict[int, int]) -> List[List[int]]:
-    """Joint eigenspace in lmod x mmod of the Jucys-Murphy elements with
-    the given contents."""
+def _eigenvector(lmod: _ColumnSpan, mmod: _ColumnSpan,
+                 tableau: StandardTableau) -> List[int]:
+    """A primitive vector of lmod x mmod on which each Jucys-Murphy element
+    X_k acts as the content of k in the tableau.
+
+    Where a tableau puts 1..k-1 as this one does, X_k takes the content of
+    an addable box of their shape (the branching rule; Okounkov and Vershik,
+    1996).  So the factors X_k - c, c such a content other than k's own,
+    map a basis vector into the joint eigenspace, a line when the tableau's
+    shape has multiplicity 1 in lmod x mmod."""
+    content = {x: c - r for r, row in enumerate(tableau.rows) for c, x in enumerate(row)}
     n = lmod.dim * mmod.dim
-    basis: List[List[int]] = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    for k in range(lmod.d, 1, -1):
-        ck = contents[k]
-        images = [_jm_action(lmod, mmod, k, v) for v in basis]
-        nb = len(basis)
-        rows = [[images[j][i] - ck * basis[j][i] for j in range(nb)] for i in range(n)]
-        kernel = _kernel_basis(rows, nb)
-        basis = [_primitive([sum(y[j] * basis[j][i] for j in range(nb))
-                             for i in range(n)])[1] for y in kernel]
-        if not basis:
-            break
-    return basis
+    for j in range(n):
+        vec = [int(i == j) for i in range(n)]
+        for k in range(2, lmod.d + 1):
+            lengths = [sum(x < k for x in row) for row in tableau.rows] + [0]
+            for i, length in enumerate(lengths):
+                if (i == 0 or lengths[i - 1] > length) and length - i != content[k]:
+                    xv = _jm_action(lmod, mmod, k, vec)
+                    vec = [x - (length - i) * v for x, v in zip(xv, vec)]
+            vec = _primitive(vec)[1]
+            if not any(vec):
+                break
+        else:
+            return vec
+    raise ArithmeticError(f"no joint eigenvector for {tableau}")
+
+
+def _generators(d: int) -> Tuple[Perm, ...]:
+    # (1 2) and the long cycle generate S_d; the trivial S_1 needs none
+    return (transposition_perm(d), cycle_perm(d)) if d > 1 else ()
 
 
 def _coupling_verify(M: Matrix, lmod, mmod, nmod) -> None:
-    d = nmod.d
-    for g in (transposition_perm(d), cycle_perm(d)):
+    for g in _generators(nmod.d):
         images = [_tensor_apply(lmod, mmod, g, col) for col in zip(*M)]
         if tuple(zip(*images)) != _mat_mul(M, nmod.matrix(g)):
             raise ArithmeticError("coupling is not equivariant")
@@ -513,36 +518,30 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
     d = nmod.d
     dl, dm, dn = lmod.dim, mmod.dim, nmod.dim
     trivial = _module((d,))
-    contents = _content_path(nmod)
-    wbasis = _eigen_intersect(nmod, trivial, contents)
-    if len(wbasis) != 1:
-        raise ArithmeticError(f"target eigenspace dimension {len(wbasis)}")
-    vbasis = _eigen_intersect(lmod, mmod, contents)
-    if len(vbasis) != 1:
-        raise ArithmeticError(f"tensor eigenspace dimension {len(vbasis)}")
-    w, v = wbasis[0], vbasis[0]
+    tableau = nmod.tableaux[0]
+    w = _eigenvector(nmod, trivial, tableau)
+    v = _eigenvector(lmod, mmod, tableau)
 
-    # transport: close the span of w under s and c, carrying v along.  Only
-    # the images of kept vectors are tried: once every kept vector's images
-    # lie in the span, the span is invariant, so it is the whole target.
-    s, c = transposition_perm(d), cycle_perm(d)
-    wcols, ucols = [w], [v]
+    # transport: w and v are the joint eigenvectors of one tableau, so M w
+    # is v up to scale.  Close the span of rows [w | v] under the generators,
+    # trying only the images of kept rows: once those lie in the span, it is
+    # invariant, so the whole target.  At rank dn the reduced rows read
+    # a_k e_k on the left and a_k times column k of M on the right.
+    kept = [w + v]
+    reduced = _row_reduce(kept, dn)
     tried = 0
-    while len(wcols) < dn:
-        if tried == len(wcols):
+    while len(reduced) < dn:
+        if tried == len(kept):
             raise ArithmeticError("transport failed to span the target")
-        wx, ux = wcols[tried], ucols[tried]
+        row = kept[tried]
         tried += 1
-        for g in (s, c):
-            nw = _tensor_apply(nmod, trivial, g, wx)
-            if len(wcols) < dn and len(_row_reduce(wcols + [nw], dn)) > len(wcols):
-                wcols.append(nw)
-                ucols.append(_tensor_apply(lmod, mmod, g, ux))
-
-    # M W = U with W, U the matrices of columns wcols, ucols: reducing the
-    # rows of [W^T | U^T] leaves a_k e_k on the left and a_k times column k
-    # of M on the right
-    reduced = _row_reduce([wc + uc for wc, uc in zip(wcols, ucols)], dn)
+        for g in _generators(d):
+            image = _tensor_apply(nmod, trivial, g, row[:dn]) + \
+                _tensor_apply(lmod, mmod, g, row[dn:])
+            grown = _row_reduce(reduced + [image], dn)
+            if len(grown) > len(reduced):
+                reduced = grown
+                kept.append(image)
     scale = lcm(*(row[k] for k, row in enumerate(reduced)))
     flat = _integerize([reduced[k][dn + p] * (scale // reduced[k][k])
                         for p in range(dl * dm) for k in range(dn)])

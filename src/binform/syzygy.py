@@ -4,8 +4,8 @@ For forms A, B of orders m, n write u_i for the i-th transvectant.  For
 each weight r and each lattice point (a, b) with 2(a+b+1) <= r there is a
 relation sum theta_ij (u_i, u_j)_{r-i-j} = 0 that holds identically in the
 coefficients of A and B.  This module computes the coefficient tables,
-verifies them on random or symbolic inputs, and reconstructs the higher
-transvectants from the first two.
+verifies them on random inputs, and reconstructs the higher transvectants
+from the first two.
 
 The coefficients kappa come by three routes.  kappa is a closed triple
 sum.  kappa_oracle is the wigner module's operator 9-j chain run on the
@@ -30,7 +30,7 @@ from .transvectant import (
     random_binary_form,
     transvect,
 )
-from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain, _prime_list
+from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain
 
 LatticePoint = Tuple[int, int]
 
@@ -269,32 +269,25 @@ class VerifyResult:
     residual: Optional[MultiForm] = None
 
 
-# Sampled pairs by (m, n, seed, trial, symbolic); the oldest half is dropped
-# when full.  The bound is above the 147 entries the form-syzygies benchmark
-# holds and the 245 that `verify --suite all` holds at its default 5 trials,
-# so neither evicts.
+# Sampled pairs by (m, n, seed, trial); the oldest half is dropped when
+# full.  The bound is above the 147 entries the form-syzygies benchmark holds
+# and the 245 that `verify --suite all` holds at its default 5 trials, so
+# neither evicts.
 _MAX_DRAWS = 512
 _draw_cache: Dict[tuple, tuple] = {}
 
 
-def _sample_pair(m: int, n: int, seed: int, trial: int, symbolic: bool):
+def _sample_pair(m: int, n: int, seed: int, trial: int):
     """The (A, B) sample for one verification trial, with memoized
     transvectants.  Deliberately independent of r and of the lattice point,
     so tables at the same (m, n) share all the heavy arithmetic."""
-    key = (m, n, seed, trial, symbolic)
+    key = (m, n, seed, trial)
     hit = _draw_cache.get(key)
     if hit is not None:
         return hit
-    if symbolic:
-        count, limit = m + n + 2, 16
-        while len(primes := _prime_list(limit)) < count:
-            limit *= 2
-        A = BinaryForm.from_coeffs(primes[: m + 1])
-        B = BinaryForm.from_coeffs(primes[m + 1: count])
-    else:
-        rng = seeding.stream(seed, "verify-table", m, n, trial)
-        A = random_binary_form(m, rng)
-        B = random_binary_form(n, rng)
+    rng = seeding.stream(seed, "verify-table", m, n, trial)
+    A = random_binary_form(m, rng)
+    B = random_binary_form(n, rng)
     entry = (A, B, {}, {})
     if len(_draw_cache) >= _MAX_DRAWS:
         for old in _oldest_half(_draw_cache):
@@ -332,9 +325,9 @@ def _int_sum(parts: list, size: int) -> tuple:
     return L, acc
 
 
-def verify_table(table: SyzygyTable, trials: int, seed: int, symbolic: bool = False) -> VerifyResult:
-    """Substitute random (or symbolic prime) forms for (A, B) and check the
-    syzygy residual is the zero form, exactly, on every trial.
+def verify_table(table: SyzygyTable, trials: int, seed: int) -> VerifyResult:
+    """Substitute random forms for (A, B) and check the syzygy residual is
+    the zero form, exactly, on every trial.
 
     Each trial scales the int terms of every (u_i, u_j)_{r-i-j} by its
     theta_ij times content, written over the one common denominator L of
@@ -347,8 +340,8 @@ def verify_table(table: SyzygyTable, trials: int, seed: int, symbolic: bool = Fa
     if table.is_zero():
         return VerifyResult(False, trials, reason="zero table")
     m, n, r = table.m, table.n, table.r
-    for t in range(1 if symbolic else trials):
-        entry = _sample_pair(m, n, seed, t, symbolic)
+    for t in range(trials):
+        entry = _sample_pair(m, n, seed, t)
         parts = []
         for (i, j), c in table.coeffs.items():
             if c:

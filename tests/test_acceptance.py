@@ -83,7 +83,7 @@ def test_stretched_ninej_collapses_to_single_term():
 
 
 def test_degree_five_relation_coefficients():
-    _run(checks.check_relation_degree_5, budget=30.0)
+    _run(checks.check_relation_degree_5, budget=10.0)
     rep = verify_s5_syzygy()
     assert rep.passed
     assert rep.coefficients == (32, 100, 25, -180)
@@ -94,7 +94,7 @@ def test_degree_five_relation_coefficients():
 
 
 def test_degree_six_and_seven_conjecture():
-    _run(checks.check_conjecture_6_7, budget=120.0)
+    _run(checks.check_conjecture_6_7, budget=10.0)
     for d in (6, 7):
         rep = conjecture_check(d)
         assert rep.passed

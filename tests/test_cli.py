@@ -269,6 +269,12 @@ class TestSymCommands:
         data = json.loads(r.stdout)
         assert data["matrix"] == [["2"], ["1"], ["1"], ["2"]]
 
+    def test_projmat_degree_one(self):
+        # S_1 is trivial: the coupling needs no generators
+        r = _run("sym", "projmat", "--l", "1", "--m", "1", "--n", "1", "--format", "json")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["matrix"] == [["1"]]
+
     def test_verify_degree_five(self):
         r = _run("sym", "verify", "--d", "5", "--format", "json")
         assert r.returncode == 0
@@ -330,7 +336,7 @@ class TestMainInProcess:
         assert "--shape" in capsys.readouterr().err
 
     def test_sym_input_over_the_caps_exit_two(self, capsys):
-        # without the caps the projmat inputs run for over a minute each
+        # inputs past the caps are refused before any work is done
         for argv, message in (
             (["sym", "mult", "--l", "50", "--m", "50", "--n", "49,1"], "mult takes"),
             (["sym", "mult", "--l", "9,6,5,4,3,2,1", "--m", "7,6,5,4,3,2,2,1",

@@ -19,7 +19,9 @@ from binform.symgroup import (
     _anchor_scales,
     _coupling,
     _coupling_verify,
+    _eigenvector,
     _five_couplings,
+    _jm_action,
     _kernel_basis,
     _module,
     _relation_system,
@@ -470,6 +472,46 @@ class TestProjectionMatrix:
                             rhs = sum(M[il * dm + im][t] * qn[t][k]
                                       for t in range(dn))
                             assert lhs == rhs
+
+    def test_degree_one(self):
+        assert projection_matrix((1,), (1,), (1,)).entries == ((1,),)
+
+    def test_equivariant_under_both_generators(self):
+        # past 60 s when the coupling eliminated over the whole tensor space
+        lam, mu, nu = (5, 3), (5, 3), (7, 1)
+        M = projection_matrix(lam, mu, nu).entries
+        dm = _module(mu).dim
+
+        def mat_mul(a, b):
+            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+        for ql, qm, qn in zip(*(generator_matrices(sh) for sh in (lam, mu, nu))):
+            rhs = mat_mul(M, qn.entries)
+            for k in range(len(qn.entries)):
+                # column k of M read as a dl x dm matrix X: Q_l x Q_m acts on
+                # it as Q_l X Q_m^T
+                X = [[row[k] for row in M[i:i + dm]] for i in range(0, len(M), dm)]
+                image = mat_mul(mat_mul(ql.entries, X), list(zip(*qm.entries)))
+                assert [v for r in image for v in r] == [row[k] for row in rhs]
+
+    @pytest.mark.parametrize("lam, mu, nu", [
+        ((3, 1), (2, 2), (2, 1, 1)),
+        ((4, 1), (3, 2), (4, 1)),
+        ((3, 2), (3, 2), (4, 1)),
+        ((3, 3), (2, 2, 2), (4, 1, 1)),
+    ])
+    def test_eigenvector_has_the_tableau_contents(self, lam, mu, nu):
+        d = sum(nu)
+        nmod = _module(nu)
+        sides = [(_module(lam), _module(mu)), (nmod, _module((d,)))]
+        for tableau in (nmod.tableaux[0], nmod.tableaux[-1]):
+            content = {x: c - r for r, row in enumerate(tableau.rows)
+                       for c, x in enumerate(row)}
+            for lmod, mmod in sides:
+                v = _eigenvector(lmod, mmod, tableau)
+                assert any(v)
+                for k in range(2, d + 1):
+                    assert _jm_action(lmod, mmod, k, v) == [content[k] * x for x in v]
 
     def test_matches_dense_nullspace_solver(self):
         for trip in [((3, 1), (2, 2), (2, 1, 1)),

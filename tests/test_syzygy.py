@@ -270,20 +270,20 @@ class TestVerifyTable:
 
     def test_perturbed_table_fails(self):
         t = vartheta_table(5, 3, 2, (0, 0))
-        cases = [(SyzygyTable(5, 3, 2, (0, 0), {**t.coeffs, (0, 1): t.coeffs[(0, 1)] + 1}), False)]
+        cases = [SyzygyTable(5, 3, 2, (0, 0), {**t.coeffs, (0, 1): t.coeffs[(0, 1)] + 1})]
         # at m = n = r u_r has order 0, and the perturbed (u_0, u_r)_0 is a
         # product with a constant
         for m in (3, 4):
             c = closed_form_table(m, m, m)
             bad = SyzygyTable(m, m, m, c.point, {**c.coeffs, (0, m): c.coeffs[(0, m)] + 1})
-            cases += [(bad, False), (bad, True)]
-        for bad, symbolic in cases:
-            res = verify_table(bad, 3, seed=7, symbolic=symbolic)
+            cases.append(bad)
+        for bad in cases:
+            res = verify_table(bad, 3, seed=7)
             assert not res.passed
             assert res.reason == "nonzero residual"
             assert res.residual is not None and not res.residual.is_zero()
             # the residual is the Fraction sum of theta_ij (u_i, u_j)_{r-i-j}
-            A, B, _, _ = _sample_pair(bad.m, bad.n, 7, res.failed_trial, symbolic)
+            A, B, _, _ = _sample_pair(bad.m, bad.n, 7, res.failed_trial)
             expected = MultiForm.zero()
             for (i, j), c in bad.coeffs.items():
                 u_i, u_j = transvect_derivative(A, B, i), transvect_derivative(A, B, j)
@@ -291,22 +291,12 @@ class TestVerifyTable:
                                scale(transvect_derivative(u_i, u_j, bad.r - i - j).form, c))
             assert res.residual == expected
 
-    def test_symbolic_mode(self):
-        assert verify_table(vartheta_table(5, 3, 2, (0, 0)), 1, seed=0, symbolic=True).passed
-
-    def test_symbolic_mode_past_twenty_primes(self):
-        # m + n + 2 = 22 coefficients: both forms must keep their full orders
-        A, B, _, _ = _sample_pair(10, 10, 0, 0, True)
-        assert (A.order, B.order) == (10, 10)
-        assert B.to_coeffs()[-1] == 79
-        assert verify_table(vartheta_table(10, 10, 2, (0, 0)), 1, 0, symbolic=True).passed
-
     def test_draw_cache_over_its_bound_still_verifies(self, monkeypatch):
         monkeypatch.setattr(syzygy, "_draw_cache", {})
         monkeypatch.setattr(syzygy, "_MAX_DRAWS", 2)
         good = vartheta_table(5, 3, 2, (0, 0))
         assert verify_table(good, 5, seed=11).passed
-        assert list(syzygy._draw_cache) == [(5, 3, 11, t, False) for t in (3, 4)]
+        assert list(syzygy._draw_cache) == [(5, 3, 11, t) for t in (3, 4)]
         assert verify_table(good, 5, seed=11).passed
         assert verify_table(closed_form_table(4, 4, 3), 3, seed=11).passed
         assert len(syzygy._draw_cache) == 2

@@ -527,6 +527,20 @@ class TestPackedChainKeys:
         ok, _, actual = checks.check_kappa_triple_route(42, 5)
         assert not ok and actual.startswith("disagreement")
 
+    def test_broken_symmetry_law_is_reported(self, monkeypatch):
+        # both routes agree on a wrong value, so only the symmetry laws on
+        # the exhaustive grid, shrunk here to entries <= 1, can catch it
+        small = checks._arrays_upto(2)
+        monkeypatch.setattr(checks, "_arrays_upto", lambda tmax: small)
+        wrong = next(tw for tw in small if tuple(zip(*tw)) != tw
+                     and not ninej_triple_sum(NineJArray._of_twice(tw)).is_zero())
+        for name in ("ninej_operator", "ninej_triple_sum"):
+            route = getattr(checks, name)
+            monkeypatch.setattr(checks, name, lambda arr, route=route:
+                                -route(arr) if arr.twice_rows() == wrong else route(arr))
+        ok, _, actual = checks.check_ninej_routes(42, 5)
+        assert not ok and actual.startswith("symmetry broken at")
+
 
 class TestTwiceIntArray:
     def test_private_constructor_checks_triads(self):
