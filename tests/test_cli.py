@@ -336,7 +336,8 @@ class TestMainInProcess:
         assert "--shape" in capsys.readouterr().err
 
     def test_sym_input_over_the_caps_exit_two(self, capsys):
-        # inputs past the caps are refused before any work is done
+        # inputs past the caps are refused before any multiplicity or coupling
+        # is computed
         for argv, message in (
             (["sym", "mult", "--l", "50", "--m", "50", "--n", "49,1"], "mult takes"),
             (["sym", "mult", "--l", "9,6,5,4,3,2,1", "--m", "7,6,5,4,3,2,2,1",
