@@ -11,7 +11,8 @@ of the standard module, with coefficients (32, 100, 25, -180), and its
 conjectured analogue for degrees 6 to 8.
 
 All linear algebra is over the integers.  Kernels, ranks and the coupling
-solve share one fraction-free row reduction (_row_reduce) that keeps every
+solve share one fraction-free row reduction (_reduce_into, which adds one
+row to a reduced form; _row_reduce runs it over a matrix) that keeps every
 row primitive with polycore's `_primitive`, the package's one
 integer-normalisation helper.  A module's matrices enumerate no tabloids:
 a polytabloid's value at a column tabloid has a closed form (0, or a
@@ -29,6 +30,7 @@ the anchoring and basis signs enter as one factor per coupling, which
 rescales the system's four columns.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -175,27 +177,44 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def _row_reduce(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
     """Reduced row echelon form of a rational matrix, computed over the
     integers: the nonzero rows, each primitive with a positive pivot that is
-    the only nonzero entry of its column, pivot columns increasing."""
-    work = [_primitive(row)[1] for row in rows if any(row)]
+    the only nonzero entry of its column, pivot columns increasing.  Only
+    the first ncols columns hold pivots; the form is unique when the rows
+    are that wide, or when their later columns are a linear function of
+    those (as in a coupling's transport)."""
     reduced: List[List[int]] = []
-    for j in range(ncols):
-        pick = next((i for i, row in enumerate(work) if row[j]), None)
-        if pick is None:
-            continue
-        piv = work.pop(pick)
-        if piv[j] < 0:
-            piv = [-v for v in piv]
-        a = piv[j]
-        for group in (reduced, work):
-            for i, row in enumerate(group):
-                f = row[j]
-                if f:
-                    group[i] = _primitive([a * x - f * y for x, y in zip(row, piv)])[1]
-        work = [row for row in work if any(row)]
-        reduced.append(piv)
-        if not work:
+    pivots: List[int] = []
+    for row in rows:
+        if len(pivots) == ncols:
             break
+        _reduce_into(reduced, pivots, row, ncols)
     return reduced
+
+
+def _reduce_into(reduced: List[List[int]], pivots: List[int], row: Sequence,
+                 ncols: int) -> bool:
+    """Add row to the reduced form `reduced` of _row_reduce, whose pivot
+    columns are `pivots`: reduce row by the kept pivots alone, then clear
+    its own pivot column from the kept rows.  False, changing nothing, when
+    row's first ncols entries lie in the span of the kept rows'."""
+    row = _primitive(row)[1]
+    for piv, j in zip(reduced, pivots):
+        f = row[j]
+        if f:
+            row = _primitive([piv[j] * x - f * y for x, y in zip(row, piv)])[1]
+    j = next((j for j in range(ncols) if row[j]), None)
+    if j is None:
+        return False
+    if row[j] < 0:
+        row = [-v for v in row]
+    a = row[j]
+    for i, kept in enumerate(reduced):
+        f = kept[j]
+        if f:
+            reduced[i] = _primitive([a * x - f * y for x, y in zip(kept, row)])[1]
+    k = bisect_left(pivots, j)
+    pivots.insert(k, j)
+    reduced.insert(k, row)
+    return True
 
 
 def _kernel_basis(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
@@ -528,7 +547,9 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
     # invariant, so the whole target.  At rank dn the reduced rows read
     # a_k e_k on the left and a_k times column k of M on the right.
     kept = [w + v]
-    reduced = _row_reduce(kept, dn)
+    reduced: List[List[int]] = []
+    pivots: List[int] = []
+    _reduce_into(reduced, pivots, kept[0], dn)
     tried = 0
     while len(reduced) < dn:
         if tried == len(kept):
@@ -538,9 +559,7 @@ def _coupling(lam: Shape, mu: Shape, nu: Shape) -> Matrix:
         for g in _generators(d):
             image = _tensor_apply(nmod, trivial, g, row[:dn]) + \
                 _tensor_apply(lmod, mmod, g, row[dn:])
-            grown = _row_reduce(reduced + [image], dn)
-            if len(grown) > len(reduced):
-                reduced = grown
+            if _reduce_into(reduced, pivots, image, dn):
                 kept.append(image)
     scale = lcm(*(row[k] for k, row in enumerate(reduced)))
     flat = _integerize([reduced[k][dn + p] * (scale // reduced[k][k])

@@ -1,6 +1,7 @@
 """Exact Wigner 3-j, 6-j and 9-j symbols.
 
-Values are quadratic surds q*sqrt(s) with q rational and s squarefree.
+Values are quadratic surds q*sqrt(s) with q rational and s squarefree,
+held as three ints from the factorial ratio to the final comparison.
 
 The operator route is a recoupling tree on the highest-weight form
 z1^(2j), run on polycore's split/merge engine: a split polarises one pair
@@ -14,19 +15,23 @@ kappa through the triple sum.
 
 Square roots only ever arise from ratios of factorials, so surds are
 assembled from prime exponents via Legendre's formula; nothing ever
-factors a large integer.
+factors a large integer.  Each factorial's exponents are packed into one
+int, so a ratio's exponents are one sum, and each route hands its rational
+prefactor to sqrt_factorial_ratio as two ints instead of building a
+Fraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import permutations
 from math import factorial, gcd, isqrt, perm
-from operator import add, sub
+from struct import pack, unpack
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polycore import _key, _merge, _split, _width
+from .polycore import _key, _merge, _oldest_half, _split, _width
 from .transvectant import factor_h
 
 HalfIntLike = Union["HalfInt", int, str, Fraction]
@@ -78,52 +83,105 @@ def _twice(value: HalfIntLike) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadraticSurd:
-    """Exact value coeff*sqrt(radicand), radicand squarefree positive."""
+    """Exact value coeff*sqrt(radicand), radicand squarefree positive.
 
-    coeff: Fraction
-    radicand: int = 1
+    Held as three ints, num/den * sqrt(rad): num/den in lowest terms with
+    den > 0, and rad 1 when num is 0.  `coeff` and `radicand` are the public
+    view of them."""
 
-    def __post_init__(self):
-        if self.radicand < 1:
+    __slots__ = ("num", "den", "rad")
+
+    def __init__(self, coeff, radicand: int = 1):
+        if radicand < 1:
             raise ValueError("radicand must be positive")
-        if self.coeff == 0 and self.radicand != 1:
-            object.__setattr__(self, "radicand", 1)
+        coeff = Fraction(coeff)
+        self.num, self.den = coeff.numerator, coeff.denominator
+        self.rad = radicand if self.num else 1
+
+    @classmethod
+    def _of(cls, num: int, den: int, rad: int) -> "QuadraticSurd":
+        """num/den * sqrt(rad) for ints already in the form above, unchecked."""
+        self = object.__new__(cls)
+        self.num, self.den, self.rad = num, den, rad
+        return self
 
     @staticmethod
     def zero() -> "QuadraticSurd":
-        return QuadraticSurd(Fraction(0), 1)
+        return QuadraticSurd._of(0, 1, 1)
+
+    @property
+    def coeff(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def radicand(self) -> int:
+        return self.rad
 
     def is_zero(self) -> bool:
-        return self.coeff == 0
+        return not self.num
 
     def is_rational(self) -> bool:
-        return self.radicand == 1 or self.coeff == 0
+        return self.rad == 1
 
     def to_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if self.rad != 1:
             raise ValueError("irrational value")
-        return self.coeff
+        return Fraction(self.num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, QuadraticSurd):
-            g = gcd(self.radicand, other.radicand)
-            return QuadraticSurd(
-                self.coeff * other.coeff * g,
-                (self.radicand // g) * (other.radicand // g),
-            )
-        return QuadraticSurd(self.coeff * Fraction(other), self.radicand)
+            g = gcd(self.rad, other.rad)
+            return _lowest(self.num * other.num * g, self.den * other.den,
+                           (self.rad // g) * (other.rad // g))
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        return _lowest(self.num * other.numerator, self.den * other.denominator, self.rad)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadraticSurd(-self.coeff, self.radicand)
+        return QuadraticSurd._of(-self.num, self.den, self.rad)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticSurd):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.rad == other.rad
+
+    def __hash__(self):
+        return hash((self.coeff, self.rad))
 
     def __str__(self) -> str:
-        if self.radicand == 1:
-            return str(self.coeff)
-        return f"{self.coeff} * sqrt({self.radicand})"
+        coeff = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        return coeff if self.rad == 1 else f"{coeff} * sqrt({self.rad})"
+
+    def __repr__(self) -> str:
+        return f"QuadraticSurd(coeff=Fraction({self.num}, {self.den}), radicand={self.rad})"
+
+
+def _lowest(num: int, den: int, rad: int) -> QuadraticSurd:
+    """The surd num/den * sqrt(rad), for den > 0 and rad squarefree."""
+    if not num:
+        return QuadraticSurd._of(0, 1, 1)
+    g = gcd(num, den)
+    return QuadraticSurd._of(num // g, den // g, rad)
+
+
+# ---------------------------------------------------------------------------
+# square roots of factorial ratios
+# ---------------------------------------------------------------------------
+#
+# The Legendre exponents of n! are packed into one int, as polycore packs a
+# monomial's exponents: the exponent of the k-th prime in a field of `field`
+# bits at bit k*field.  Packing is linear, so the exponents of a ratio of
+# factorials are one signed sum of ints.  Its two's-complement bytes are
+# unpacked once into unsigned fields, and a field at or above 2**(field - 1)
+# is negative and borrowed one from the next.  That read is exact while
+# every field of the sum stays below 2**(field - 1) in absolute value;
+# e_p(n!) < n <= top, so a call passing at most `span` arguments, each at
+# most `top`, keeps it there.  A call beyond either bound replaces the
+# packing, memo included, by a wider one.  Fields are 16, 32 or 64 bits, the
+# sizes `struct` unpacks.
 
 
 def _sieve(limit: int) -> List[int]:
@@ -161,42 +219,96 @@ def _legendre(n: int, p: int) -> int:
     return total
 
 
-# entries are short tuples (one int per prime <= n); the bound keeps huge
-# arguments from pinning memory
-@lru_cache(maxsize=1024)
-def _factorial_exponents(n: int) -> Tuple[int, ...]:
-    """The exponent of each prime p <= n in n!, in prime order."""
-    out = []
-    for p in _prime_list(n):
-        if p > n:
-            break
-        out.append(_legendre(n, p))
-    return tuple(out)
+# the memo holds at most this many factorials and drops its oldest half when
+# full, as polycore's memos do
+_MAX_PACKED = 1024
+
+_FIELD_CODES = ((16, "H"), (32, "I"), (64, "Q"))  # field bits, struct code
 
 
-def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int]) -> QuadraticSurd:
-    """Exactly sqrt(prod(a! for a in numerators) / prod(b!))."""
-    nums = list(numerators)
-    dens = list(denominators)
+class _FactorialPacking:
+    """Packed Legendre exponents of n! for n <= top, memoised, in fields
+    wide enough for a call of at most span arguments."""
+
+    __slots__ = ("top", "span", "field", "code", "memo")
+
+    def __init__(self, top: int, span: int):
+        self.top, self.span = top, span
+        need = (span * top).bit_length() + 1
+        fits = [fc for fc in _FIELD_CODES if fc[0] >= need]
+        if not fits:
+            raise ValueError(f"factorial arguments up to {top}, {span} at a time, are too large")
+        self.field, self.code = fits[0]
+        self.memo: dict = {}
+
+    def packed(self, n: int) -> int:
+        packed = self.memo.get(n)
+        if packed is None:
+            primes = _prime_list(n)
+            exps = [_legendre(n, p) for p in primes[:bisect_right(primes, n)]]
+            packed = int.from_bytes(pack(f"<{len(exps)}{self.code}", *exps), "little")
+            if len(self.memo) >= _MAX_PACKED:
+                for old in _oldest_half(self.memo):
+                    del self.memo[old]
+            self.memo[n] = packed
+        return packed
+
+
+_packing = _FactorialPacking(64, 32)
+
+
+def _grown(need: int, have: int) -> int:
+    return have if need <= have else max(need, 2 * have)
+
+
+def _packed_ratio(nums: List[int], dens: List[int]) -> Tuple[int, _FactorialPacking]:
+    """(the packed exponents of prod(a!)/prod(b!), their packing), after
+    widening the packing if the arguments need it."""
+    global _packing
     for v in nums + dens:
         if v < 0:
             raise ValueError(f"negative factorial argument {v}")
-    exps = [0] * len(_factorial_exponents(max(nums + dens, default=0)))
-    for op, args in ((add, nums), (sub, dens)):
-        for v in args:
-            vec = _factorial_exponents(v)
-            exps[: len(vec)] = map(op, exps, vec)
-    cnum, cden, rad = 1, 1, 1
-    for p, e in zip(_primes, exps):
+    pk = _packing
+    top, span = max(nums + dens, default=0), len(nums) + len(dens)
+    if top > pk.top or span > pk.span:
+        pk = _packing = _FactorialPacking(_grown(top, pk.top), _grown(span, pk.span))
+    return sum(map(pk.packed, nums)) - sum(map(pk.packed, dens)), pk
+
+
+def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int],
+                         num: int = 1, den: int = 1) -> QuadraticSurd:
+    """Exactly num/den * sqrt(prod(a! for a in numerators) / prod(b!)), for
+    ints num and den > 0; a zero num gives zero without reading the rest."""
+    if not num:
+        return QuadraticSurd._of(0, 1, 1)
+    pk = _packing
+    try:
+        if len(numerators) + len(denominators) > pk.span:
+            raise KeyError  # more arguments than the fields hold: widen them
+        get = pk.memo.__getitem__
+        total = sum(map(get, numerators)) - sum(map(get, denominators))
+    except (KeyError, TypeError):
+        total, pk = _packed_ratio(list(numerators), list(denominators))
+    w = pk.field
+    count = total.bit_length() // w + 1  # up to the highest nonzero field, and its sign
+    fields = unpack(f"<{count}{pk.code}", total.to_bytes(count * w // 8, "little", signed=True))
+    sign, full = 1 << (w - 1), 1 << w
+    borrow, rad = 0, 1
+    for p, e in zip(_primes, fields):
+        e += borrow
+        borrow = 1 if e >= sign else 0
+        if borrow:
+            e -= full
         if e:
-            half = e >> 1
-            if half >= 0:
-                cnum *= p ** half
-            else:
-                cden *= p ** -half
             if e & 1:
                 rad *= p
-    return QuadraticSurd(Fraction(cnum, cden), rad)
+            half = e >> 1  # floor: p^e = (p^half)^2 * p^(e - 2*half)
+            if half > 0:
+                num *= p ** half
+            elif half:
+                den *= p ** -half
+    g = gcd(num, den)
+    return QuadraticSurd._of(num // g, den // g, rad)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +369,25 @@ def _coupling_args(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
     return a1, a2, a, b1, b2, b
 
 
+def _coupling_parts(a1: int, a2: int, a: int, b1: int, b2: int,
+                    b: int) -> Tuple[int, List[int], List[int]]:
+    """(c, nums, dens) with the coupling coefficient of _coupling equal to
+    c/(2j)! * sqrt(prod(nums!)/prod(dens!)); c is 0 when it vanishes."""
+    if b1 + b2 != b:
+        return 0, [], []
+    w = _width(a1, a2, a)
+    t = _split({_key(w, z=((a - b) // 2, (a + b) // 2)): 1}, w, "z", "x", "y", a1, a2, a)
+    key = _key(w, x=((a1 - b1) // 2, (a1 + b1) // 2), y=((a2 - b2) // 2, (a2 + b2) // 2))
+    # phase (-1)^((j+m)+(j1+m1)+(j2+m2)) from the three basis forms; the
+    # surd combines sqrt(binom(2j, j-m)), the two monomial norms, and the
+    # isometry constant into one factorial ratio
+    r = (a1 + a2 - a) // 2
+    sgn = -1 if ((a + b) // 2 + (a1 + b1) // 2 + (a2 + b2) // 2) % 2 else 1
+    return (sgn * t.get(key, 0),
+            [a, a + 1, (a1 - b1) // 2, (a1 + b1) // 2, (a2 - b2) // 2, (a2 + b2) // 2],
+            [(a - b) // 2, (a + b) // 2, a1 + a2 - r + 1, r, a1 - r, a2 - r])
+
+
 def _coupling(a1: int, a2: int, a: int, b1: int, b2: int, b: int) -> QuadraticSurd:
     """Vector coupling coefficient <e_{j1 m1} x e_{j2 m2} | i(e_{jm})>, for
     the twice-values (j1, j2, j, m1, m2, m) that _coupling_args checks.
@@ -265,34 +396,20 @@ def _coupling(a1: int, a2: int, a: int, b1: int, b2: int, b: int) -> QuadraticSu
     (Brussaard/Condon-Shortley) positive phase: its constant is the positive
     root sqrt((2j1)!(2j2)!(2j+1)! / ((j1+j2+j+1)! and the three defects)).
     """
-    if b1 + b2 != b:
-        return QuadraticSurd.zero()
-    w = _width(a1, a2, a)
-    t = _split({_key(w, z=((a - b) // 2, (a + b) // 2)): 1}, w, "z", "x", "y", a1, a2, a)
-    key = _key(w, x=((a1 - b1) // 2, (a1 + b1) // 2), y=((a2 - b2) // 2, (a2 + b2) // 2))
-    cf = Fraction(t.get(key, 0), factorial(a))
-    if cf == 0:
-        return QuadraticSurd.zero()
-    # phase (-1)^((j+m)+(j1+m1)+(j2+m2)) from the three basis forms; the
-    # surd combines sqrt(binom(2j, j-m)), the two monomial norms, and the
-    # isometry constant into one factorial ratio
-    r = (a1 + a2 - a) // 2
-    sgn = -1 if ((a + b) // 2 + (a1 + b1) // 2 + (a2 + b2) // 2) % 2 else 1
-    surd = sqrt_factorial_ratio(
-        [a, a + 1, (a1 - b1) // 2, (a1 + b1) // 2, (a2 - b2) // 2, (a2 + b2) // 2],
-        [(a - b) // 2, (a + b) // 2, a1 + a2 - r + 1, r, a1 - r, a2 - r],
-    )
-    return (sgn * cf) * surd
+    c, nums, dens = _coupling_parts(a1, a2, a, b1, b2, b)
+    return sqrt_factorial_ratio(nums, dens, c, factorial(a))
 
 
 def threej(j1: HalfIntLike, j2: HalfIntLike, j: HalfIntLike,
            m1: HalfIntLike, m2: HalfIntLike, m: HalfIntLike) -> QuadraticSurd:
-    """Wigner 3-j symbol (j1 j2 j; m1 m2 m)."""
+    """Wigner 3-j symbol (j1 j2 j; m1 m2 m): the coupling coefficient to
+    (j, -m) times (-1)^(j1-j2-m) / sqrt(2j+1)."""
     a1, a2, a, b1, b2, b = _coupling_args(j1, j2, j, m1, m2, m)
     if b1 + b2 + b != 0:
         return QuadraticSurd.zero()
     sgn = -1 if ((a1 - a2 - b) // 2) % 2 else 1
-    return sgn * _coupling(a1, a2, a, b1, b2, -b) * sqrt_factorial_ratio([a], [a + 1])
+    c, nums, dens = _coupling_parts(a1, a2, a, b1, b2, -b)
+    return sqrt_factorial_ratio(nums + [a], dens + [a + 1], sgn * c, factorial(a))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +439,15 @@ def sixj(js: Sequence[HalfIntLike]) -> QuadraticSurd:
            j2 + j23 - j3, j3 + j23 - j2, j1 + j2 - j12, j12 + j3 - J)
     p3 = h(j1 + j2 + j12 + 2, j2 + j3 + j23 + 2, j1 + j23 + J + 2, j12 + j3 + J + 2)
     sgn = -1 if ((j1 + j2 + j3 + J) // 2) % 2 else 1
-    return (Fraction(sgn * (J + 1) * alpha)) * sqrt_factorial_ratio(p1, p2 + p3)
+    return sqrt_factorial_ratio(p1, p2 + p3, sgn * (J + 1) * alpha)
 
 
 # ---------------------------------------------------------------------------
 # 9-j symbols
 # ---------------------------------------------------------------------------
+
+
+_PERMS3 = frozenset(permutations(range(3)))
 
 
 class NineJArray:
@@ -346,12 +466,23 @@ class NineJArray:
         self._set(tuple(map(tuple, tw)))
         return self
 
+    @classmethod
+    def _image(cls, tw: Tuple[Tuple[int, ...], ...]) -> "NineJArray":
+        """The transpose or row/column permutation tw of a valid array.  A
+        triad stays a triad in any order, so tw needs no check."""
+        self = object.__new__(cls)
+        self._tw = tw
+        return self
+
     def _set(self, tw: Tuple[Tuple[int, ...], ...]) -> None:
-        if len(tw) != 3 or any(len(row) != 3 for row in tw):
-            raise ValueError("nine entries expected")
-        for k in range(3):
-            _require_triad(tw[k][0], tw[k][1], tw[k][2], f"row {k + 1}")
-            _require_triad(tw[0][k], tw[1][k], tw[2][k], f"column {k + 1}")
+        try:
+            (a, b, c), (d, e, f), (g, h, i) = tw
+        except ValueError:
+            raise ValueError("nine entries expected") from None
+        # row 1, column 1, row 2, ...: the first that fails is reported
+        for k, triad in enumerate(((a, b, c), (a, d, g), (d, e, f), (b, e, h), (g, h, i), (c, f, i))):
+            if _triad_defects(*triad) is None:
+                _require_triad(*triad, f"{('row', 'column')[k % 2]} {k // 2 + 1}")
         self._tw = tw
 
     @property
@@ -362,11 +493,13 @@ class NineJArray:
         return self._tw
 
     def transpose(self) -> "NineJArray":
-        return NineJArray._of_twice(zip(*self._tw))
+        return NineJArray._image(tuple(zip(*self._tw)))
 
     def permute(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "NineJArray":
+        if tuple(row_perm) not in _PERMS3 or tuple(col_perm) not in _PERMS3:
+            raise ValueError(f"not permutations of (0, 1, 2): {row_perm}, {col_perm}")
         r = self._tw
-        return NineJArray._of_twice([[r[i][k] for k in col_perm] for i in row_perm])
+        return NineJArray._image(tuple(tuple(r[i][k] for k in col_perm) for i in row_perm))
 
     def entry_sum_twice(self) -> int:
         return sum(map(sum, self._tw))
@@ -413,7 +546,7 @@ def ninej_operator(arr: NineJArray) -> QuadraticSurd:
     beta = _ninej_chain(tw)
     q1, q2, q3 = _ninej_q_lists(tw)
     J = tw[2][2]
-    return (Fraction((J + 1) * beta)) * sqrt_factorial_ratio(q1, q2 + q3)
+    return sqrt_factorial_ratio(q1, q2 + q3, (J + 1) * beta)
 
 
 def _triple_sum_params(tw: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -494,9 +627,6 @@ def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
         inner = sum(wz[z] * f(p1 - y - z) * perm(mxz, mxz - p3 - x - z)
                     for z in range(lo, hi + 1))
         total += wx[x] * wy[y] * perm(mxy, mxy - p2 - x - y) * inner
-    if total == 0:
-        return QuadraticSurd.zero()
-    total = Fraction(total, den)
 
     def bracket(a, b, c, invert):
         # [a,b,c] = sqrt((a-b+c)!(a+b-c)!(a+b+c+1)!/(-a+b+c)!), args twice-values
@@ -513,7 +643,7 @@ def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
         nums.extend(nn)
         dens.extend(dd)
     sgn = -1 if x5 % 2 else 1
-    return (sgn * total) * sqrt_factorial_ratio(nums, dens)
+    return sqrt_factorial_ratio(nums, dens, sgn * total, den)
 
 
 def ninej_support_size(arr: NineJArray) -> int:
@@ -605,9 +735,9 @@ def kappa_via_ninej(m: int, n: int, r: int, i: int, j: int,
     value = ninej_triple_sum(rearranged)
 
     q1, q2, q3 = _ninej_q_lists(base.twice_rows())
-    pref = sqrt_factorial_ratio(q2 + q3, q1)
+    scale = _kappa_scale(m, n, r, i, j, a, b)
     J2 = 2 * (m + n - r)
-    out = (_kappa_scale(m, n, r, i, j, a, b) / (J2 + 1)) * pref * value
+    out = sqrt_factorial_ratio(q2 + q3, q1, scale.numerator, scale.denominator * (J2 + 1)) * value
     if not out.is_rational():
         raise ValueError("normalization mismatch")
     return out.to_fraction()

@@ -4,7 +4,7 @@ quadratic relation between projections of a tensor square."""
 import hashlib
 from fractions import Fraction as F
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +23,7 @@ from binform.symgroup import (
     _five_couplings,
     _jm_action,
     _kernel_basis,
+    _row_reduce,
     _module,
     _relation_system,
     _residual_vanishes,
@@ -385,6 +386,51 @@ def _matrices(draw):
     if draw(st.booleans()):
         rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * ncols)
     return rows, ncols
+
+
+def _primitive_rref(rows, ncols):
+    """Oracle: the Fraction reduced rows, each scaled to coprime ints (its
+    pivot, a 1, stays positive)."""
+    work, pivots = _fraction_rref(rows, ncols)
+    out = []
+    for row in work[:len(pivots)]:
+        scale = lcm(*(v.denominator for v in row))
+        ints = [int(v * scale) for v in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        out.append([v // g for v in ints])
+    return out
+
+
+@st.composite
+def _graph_rows(draw):
+    """Rows [x | x T] for one integer matrix T: the later columns are a
+    linear function of the first ncols, as in a coupling's transport."""
+    rows, ncols = draw(_matrices())
+    extra = draw(st.integers(min_value=0, max_value=4))
+    T = draw(st.lists(st.lists(_entries, min_size=extra, max_size=extra),
+                      min_size=ncols, max_size=ncols))
+    return [list(x) + [sum(F(a) * t[c] for a, t in zip(x, T)) for c in range(extra)]
+            for x in rows], ncols
+
+
+class TestRowReduce:
+    """_row_reduce adds one row at a time; its form must not depend on the
+    order the rows come in, which is what keeps a coupling's transport,
+    reduced as images arrive, equal to one reduction of all of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_matrices(), _graph_rows()), st.randoms(use_true_random=False))
+    @example(([[0, 2, 4, 6], [0, 1, 2, 3], [3, 0, 0, 3], [1, 1, 1, 3]], 3), None)
+    def test_matches_the_fraction_oracle_in_any_row_order(self, case, rnd):
+        rows, ncols = case
+        want = _primitive_rref(rows, ncols)
+        assert _row_reduce(rows, ncols) == want
+        if rnd is not None:
+            shuffled = list(rows)
+            rnd.shuffle(shuffled)
+            assert _row_reduce(shuffled, ncols) == want
 
 
 class TestKernelBasis:

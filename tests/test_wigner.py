@@ -3,11 +3,12 @@
 import hashlib
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binform import checks, polycore, wigner
@@ -175,6 +176,88 @@ class TestQuadraticSurd:
     def test_rational_scaling(self, u, q):
         assert (q * u).coeff == q * u.coeff
         assert (u * q).radicand in (1, u.radicand)
+
+
+@dataclass(frozen=True)
+class _FractionSurd:
+    """The surd class as it was before it moved to ints: a frozen dataclass
+    over a Fraction and a radicand, kept as the reference for products,
+    negation, equality, hashing and printing."""
+
+    coeff: F
+    radicand: int = 1
+
+    def __post_init__(self):
+        if self.radicand < 1:
+            raise ValueError("radicand must be positive")
+        if self.coeff == 0 and self.radicand != 1:
+            object.__setattr__(self, "radicand", 1)
+
+    def __mul__(self, other):
+        if isinstance(other, _FractionSurd):
+            g = gcd(self.radicand, other.radicand)
+            return _FractionSurd(self.coeff * other.coeff * g,
+                                 (self.radicand // g) * (other.radicand // g))
+        return _FractionSurd(self.coeff * F(other), self.radicand)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _FractionSurd(-self.coeff, self.radicand)
+
+    def __str__(self) -> str:
+        if self.radicand == 1:
+            return str(self.coeff)
+        return f"{self.coeff} * sqrt({self.radicand})"
+
+
+@st.composite
+def _surd_pairs(draw):
+    """(surd, reference) for one value, built through the public constructor
+    or, in the normal form it expects, through the private one.  Zero
+    coefficients come with radicands above 1, and coefficients are written
+    with denominators of either sign."""
+    num = draw(st.integers(-60, 60))
+    den = draw(st.integers(1, 24)) * draw(st.sampled_from((1, -1)))
+    rad = _mask_radicand(draw(st.integers(0, 63)))
+    coeff = F(num, den)
+    ref = _FractionSurd(coeff, rad)
+    if draw(st.booleans()):
+        return QuadraticSurd(coeff, rad), ref
+    return QuadraticSurd._of(coeff.numerator, coeff.denominator, rad if num else 1), ref
+
+
+def _same(surd: QuadraticSurd, ref: _FractionSurd) -> bool:
+    return (str(surd) == str(ref)
+            and repr(surd) == repr(ref).replace("_FractionSurd", "QuadraticSurd", 1)
+            and hash(surd) == hash(ref)
+            and (surd.coeff, surd.radicand) == (ref.coeff, ref.radicand))
+
+
+class TestSurdOnIntsAgainstFractionSurd:
+    @given(_surd_pairs(), _surd_pairs(), st.fractions(max_denominator=30),
+           st.integers(-50, 50))
+    @example((QuadraticSurd(F(0), 15), _FractionSurd(F(0), 15)),
+             (QuadraticSurd(F(3, -7), 30), _FractionSurd(F(3, -7), 30)), F(-2, 9), 0)
+    @example((QuadraticSurd._of(0, 1, 1), _FractionSurd(F(0), 6)),
+             (QuadraticSurd(F(-4, -6), 2), _FractionSurd(F(-4, -6), 2)), F(0), -3)
+    def test_arithmetic_and_printing_match(self, u, v, q, k):
+        (su, ru), (sv, rv) = u, v
+        assert _same(su, ru) and _same(sv, rv)
+        assert _same(su * sv, ru * rv)
+        assert _same(-su, -ru)
+        assert _same(su * q, ru * q) and _same(q * su, q * ru)
+        assert _same(k * su, k * ru) and _same(su * k, ru * k)
+        assert (su == sv) == (ru == rv)
+        assert (su != sv) == (ru != rv)
+        assert su * sv == sv * su
+        assert (su * sv).is_zero() == ((ru * rv).coeff == 0)
+        assert su.is_rational() == (ru.radicand == 1 or ru.coeff == 0)
+
+    def test_other_types_compare_unequal(self):
+        assert QuadraticSurd(F(1)) != F(1)
+        assert QuadraticSurd(F(1)) != 1
+        assert QuadraticSurd(F(2, 3), 5) == QuadraticSurd(F(-2, -3), 5)
 
 
 class TestSquareRootHelpers:
@@ -551,6 +634,49 @@ class TestTwiceIntArray:
         with pytest.raises(ValueError, match="nine entries"):
             NineJArray._of_twice([[0, 0, 0], [0, 0, 0]])
 
+    @staticmethod
+    def _triad_message(tw):
+        """The error for tw with the triads tested in the order row 1,
+        column 1, row 2, column 2, row 3, column 3; None if all hold."""
+        for k in range(3):
+            for where, (a, b, c) in ((f"row {k + 1}", tw[k]),
+                                     (f"column {k + 1}", [row[k] for row in tw])):
+                if not _is_triad(a, b, c):
+                    return f"not a triad: {where} ({a}/2, {b}/2, {c}/2)"
+        return None
+
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
+                    min_size=3, max_size=3))
+    @example([[1, 1, 2], [1, 1, 1], [1, 1, 2]])  # row 2 fails, columns 1 and 2 hold
+    @example([[1, 1, 2], [2, 2, 1], [1, 1, 2]])  # row 2 and column 1 fail: column 1 first
+    @example([[2, 2, 2], [2, 2, 2], [2, 2, 4]])  # only column 3 fails
+    @example([[1, 1, 2], [1, 1, 2], [2, 2, 4]])  # valid
+    def test_both_constructors_report_the_first_failing_triad(self, tw):
+        want = self._triad_message(tw)
+        for build in (NineJArray._of_twice, _mk):
+            if want is None:
+                assert build(tw).twice_rows() == tuple(map(tuple, tw))
+            else:
+                with pytest.raises(ValueError) as err:
+                    build(tw)
+                assert str(err.value) == want
+
+    def test_images_equal_the_checked_arrays(self):
+        perms = list(itertools.permutations(range(3)))
+        for tw in random.Random(29).sample(_arrays_upto(3), 40):
+            arr = NineJArray._of_twice(tw)
+            assert arr.transpose() == NineJArray._of_twice(list(zip(*tw)))
+            for rp in perms:
+                for cp in perms:
+                    image = arr.permute(rp, cp)
+                    assert image == NineJArray._of_twice([[tw[i][k] for k in cp] for i in rp])
+                    assert hash(image) == hash(NineJArray._of_twice(image.twice_rows()))
+        for bad in ((0, 0, 1), (0, 1), (0, 1, 3)):
+            with pytest.raises(ValueError, match="not permutations"):
+                arr.permute(bad, (0, 1, 2))
+            with pytest.raises(ValueError, match="not permutations"):
+                arr.permute((0, 1, 2), bad)
+
     def test_twice_values_and_half_integer_rows(self):
         arr = NineJArray([["1/2", "1/2", 1], ["1/2", "1/2", 0], [1, 1, 1]])
         assert arr == NineJArray._of_twice([[1, 1, 2], [1, 1, 0], [2, 2, 2]])
@@ -562,7 +688,118 @@ class TestTwiceIntArray:
         assert hash(arr.transpose().transpose()) == hash(arr)
 
 
+def _factorial_ratio(nums, dens) -> F:
+    target = F(1)
+    for x in nums:
+        target *= factorial(x)
+    for x in dens:
+        target /= factorial(x)
+    return target
+
+
+def _primes_upto(limit):
+    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+_PRIMES_TO_1300 = _primes_upto(1300)
+
+
+def _is_root(v: QuadraticSurd, target: F, primes=_PRIMES_TO_1300) -> bool:
+    """Whether v is the positive square root of target with a squarefree
+    radicand, the one such form, for factorial arguments up to the last of
+    primes."""
+    return (_sq(v) == target and v.coeff > 0
+            and all(v.radicand % (p * p) for p in primes))
+
+
+_args = st.integers(0, 40)
+
+
 class TestFactorialRatioPrimes:
+    @pytest.fixture(autouse=True)
+    def fresh_factorial_memo(self, monkeypatch):
+        # calls here widen the packed exponent fields; none of that outlives
+        # the test
+        monkeypatch.setattr(wigner, "_packing", wigner._FactorialPacking(64, 32))
+
+    @given(st.lists(_args, min_size=18, max_size=18), st.lists(_args, min_size=6, max_size=6))
+    def test_triple_sum_sized_calls(self, nums, dens):
+        # the triple sum passes 18 numerator and 6 denominator arguments
+        assert _is_root(sqrt_factorial_ratio(nums, dens), _factorial_ratio(nums, dens))
+        assert _is_root(sqrt_factorial_ratio(nums[:12], nums[12:] + dens),
+                        _factorial_ratio(nums[:12], nums[12:] + dens))
+
+    def test_more_arguments_than_the_fields_were_sized_for(self):
+        # count copies of the largest argument the fields were sized for put
+        # count * e_p(top!) in each field: 1,000 * e_2(64!) = 63,000 is past
+        # 16-bit fields
+        top = wigner._packing.top
+        sqrt_factorial_ratio([top, 5], [3])  # every argument below is now a memo hit
+        for count in (wigner._packing.span + 1, 1000):
+            many = [top] * count
+            assert _is_root(sqrt_factorial_ratio(many, [3]), _factorial_ratio(many, [3]))
+            assert _is_root(sqrt_factorial_ratio([5], many), _factorial_ratio([5], many))
+        assert _is_root(sqrt_factorial_ratio([9, 3], [4]), _factorial_ratio([9, 3], [4]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 1201), max_size=6), st.lists(st.integers(0, 1201), max_size=6))
+    @example([1201, 800, 400], [1200, 799, 401])
+    @example([], [1201])
+    def test_arguments_up_to_the_cli_caps(self, nums, dens):
+        # threej accepts 2j <= 800, which puts factorial arguments near 1,200
+        assert _is_root(sqrt_factorial_ratio(nums, dens), _factorial_ratio(nums, dens))
+
+    @given(st.lists(st.integers(0, 12), max_size=3), st.lists(st.integers(0, 12), max_size=6))
+    @example([], [3])  # 2 and 3 at exponent -1
+    @example([2], [5])  # 2 at -2, 3 and 5 at -1
+    @example([0, 1], [1, 0])
+    def test_negative_odd_exponents_match_trial_division(self, nums, dens):
+        assert sqrt_factorial_ratio(nums, dens) == sqrt_rational(_factorial_ratio(nums, dens))
+
+    def test_exponents_beyond_sixteen_bits(self):
+        # field totals past 2^15 and 2^16: 28 * e_2(1200!) = 33,460 and
+        # e_2(70000!) = 69,993
+        many = [1200] * 28
+        assert _is_root(sqrt_factorial_ratio(many, []), _factorial_ratio(many, []))
+        assert _is_root(sqrt_factorial_ratio([7], many), _factorial_ratio([7], many))
+        assert _is_root(sqrt_factorial_ratio([70000], []), factorial(70000), _primes_upto(70000))
+        # exponents past 2^16 in each factorial, yet the ratio is only 70000 * 69999
+        assert sqrt_factorial_ratio([70000], [69998]) == sqrt_rational(F(70000 * 69999))
+        assert sqrt_factorial_ratio([69998], [70000]) == sqrt_rational(F(1, 70000 * 69999))
+        assert sqrt_factorial_ratio([69999, 5], [70000, 4]) == sqrt_rational(F(5, 70000))
+        assert sqrt_factorial_ratio([6], [4]) == sqrt_rational(F(30))
+
+    def test_field_sizes(self, monkeypatch):
+        assert [wigner._FactorialPacking(top, span).field
+                for top, span in ((64, 32), (1200, 32), (70000, 32), (70000, 1 << 15))] == [16, 32, 32, 64]
+        monkeypatch.setattr(wigner, "_packing", wigner._FactorialPacking(70000, 1 << 15))
+        assert sqrt_factorial_ratio([70000, 3], [69998]) == sqrt_rational(F(70000 * 69999 * 6))
+        assert sqrt_factorial_ratio([5], [7, 2]) == sqrt_rational(F(1, 84))
+        with pytest.raises(ValueError, match="too large"):
+            wigner._FactorialPacking(1 << 62, 4)
+
+    def test_rational_prefactor(self):
+        assert sqrt_factorial_ratio([3], [], -4, 6) == QuadraticSurd(F(-2, 3), 6)
+        assert sqrt_factorial_ratio([5], [3], 6, 8) == QuadraticSurd(F(3, 2), 5)
+        assert sqrt_factorial_ratio([-1], [], 0).is_zero()
+
+    def test_zero_and_one_factorials_stay_memoised(self, monkeypatch):
+        # 0! and 1! pack to the int 0, which must count as a memo hit
+        assert sqrt_factorial_ratio([0, 1, 3], [1, 0]) == sqrt_rational(F(6))
+        assert {0, 1, 3} <= set(wigner._packing.memo)
+
+        def refill(n):
+            raise AssertionError(f"memo miss for {n}")
+
+        monkeypatch.setattr(wigner._FactorialPacking, "packed", lambda self, n: refill(n))
+        assert sqrt_factorial_ratio([1, 0, 3], [0]) == sqrt_rational(F(6))
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(wigner, "_MAX_PACKED", 8)
+        for n in range(60):
+            assert sqrt_factorial_ratio([n + 1], [n]) == sqrt_rational(F(n + 1))
+            assert len(wigner._packing.memo) <= 8
+
     def test_growing_and_shrinking_arguments(self):
         # the shared prime list grows past each new top; smaller calls reuse it
         for nums, dens in (([3], [2]), ([1500], [1499, 7]), ([40, 30], [20]),
@@ -609,3 +846,39 @@ class TestPinnedOutputs:
                                              f"{kappa_via_ninej(*args)}")
         assert len(lines) == 1135
         assert _pin(lines) == "af68ee83ad623fa5abaf47ce7ea9d8d5cca49879eb6eb917cdf085924b294afb"
+
+
+class TestPinnedSurdOutputs:
+    """sha256 of printed values taken while surds were a dataclass over a
+    Fraction and each factorial ratio a list of prime exponents: the move
+    to ints changed no printed digit."""
+
+    def test_both_ninej_routes_on_grid_and_large_arrays(self):
+        sample = random.Random(1807).sample(_arrays_upto(6), 400)
+        for top in (12, 14, 16, 18, 20):
+            sample += _arrays_with_top(top, 6, 1800 + top)
+        lines = []
+        for tw in sample:
+            arr = NineJArray._of_twice(tw)
+            lines.append(f"{tw} {ninej_operator(arr)} {ninej_triple_sum(arr)}")
+        assert len(lines) == 430
+        assert _pin(lines) == "e30cd4c12a1036cdad3c7a447d3ad967a62365f4ea04df2d2d99ca61c37638d4"
+
+    def test_threej_and_sixj_values(self):
+        lines = []
+        for args in [("1/2", "1/2", 1, "1/2", "1/2", -1), (400, 400, 400, 400, -400, 0),
+                     ("7/2", 5, "13/2", "-3/2", 2, "-1/2"), (60, 45, 30, -7, 12, -5),
+                     ("151/2", "99/2", 100, "-41/2", "31/2", 5), (0, 0, 0, 0, 0, 0)]:
+            lines.append(f"threej{args} {threej(*args)}")
+        for js in [[0] * 6, [1] * 6, [64] * 6, [1, 2, 3, "3/2", "5/2", "7/2"],
+                   [30, 25, 20, "45/2", "61/2", "39/2"], [10, 10, 20, 10, 20, 10]]:
+            lines.append(f"sixj{js} {sixj(js)}")
+        assert _pin(lines) == "22e75a9f3ce34bcb7699af16f3eacacf6c2cb027b3a97cee0aaeb1b3758154fd"
+
+    def test_surd_reprs(self):
+        surds = [QuadraticSurd.zero(), QuadraticSurd(F(0), 15), QuadraticSurd(F(-2, 3), 5),
+                 QuadraticSurd(F(7)), threej("1/2", "1/2", 1, "1/2", "1/2", -1),
+                 sixj([1, 2, 3, "3/2", "5/2", "7/2"]),
+                 -ninej_triple_sum(NineJArray._of_twice(((2, 1, 3), (1, 2, 3), (3, 3, 4))))]
+        assert _pin(map(repr, surds)) == \
+            "cd38332c41c818902672215f1815adf992c98c87d160efb5782df281fac625cf"
