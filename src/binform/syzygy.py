@@ -15,6 +15,7 @@ kappa array, times the scale K.  wigner.kappa_via_ninej goes through the
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, perm
@@ -51,44 +52,6 @@ def pi_set(m: int, n: int, r: int) -> List[LatticePoint]:
 # ---------------------------------------------------------------------------
 
 
-def kappa_support(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> List[Tuple[int, int, int]]:
-    """The index triples (x, y, z) the triple sum for kappa ranges over."""
-    a, b = p
-    _check_admissible(m, n, r, i, j, a, b)
-    pts = []
-    for x in range(0, min(n - 2 * b - 1, n - j) + 1):
-        ylo = max(0, n - r + 2 * a + 1 - x)
-        yhi = min(2 * a + 1, 2 * n - r + 2 * a - 2 * b)
-        for y in range(ylo, yhi + 1):
-            zlo = max(0, r - m - i - x)
-            zhi = min(n - i, r - i - j, n - i + 2 * a + 1 - y)
-            for z in range(zlo, zhi + 1):
-                pts.append((x, y, z))
-    return pts
-
-
-def _factor_weights(values: set, nums: tuple, dens: tuple) -> tuple:
-    """({v: w_v}, D) for the index values v of one summation variable, with
-    w_v / D = (-1)^v prod (c + d v)! / prod (c' + d' v)! over the (c, d) in
-    nums and the (c', d') in dens, d = +-1: each denominator factorial is
-    written as perm(M, M - arg) / M! with M its largest arg over the
-    values, and D is the product of those M!."""
-    lo, hi = min(values), max(values)
-    tops = [c + d * (hi if d > 0 else lo) for c, d in dens]
-    out = {}
-    for v in values:
-        w = -1 if v & 1 else 1
-        for c, d in nums:
-            w *= factorial(c + d * v)
-        for (c, d), top in zip(dens, tops):
-            w *= perm(top, top - c - d * v)
-        out[v] = w
-    D = 1
-    for top in tops:
-        D *= factorial(top)
-    return out, D
-
-
 def kappa(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
     """Syzygy coefficient kappa_ij at lattice point p, by the triple sum."""
     a, b = p
@@ -105,34 +68,55 @@ def kappa(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
         * f(m + n - r + i - j) * f(m + n - r - i + j)
         * f(2 * m + 2 * n - r - i - j + 1) * f(2 * m - 4 * a - 2) * f(2 * n - 4 * b - 2)
     )
-    pts = kappa_support(m, n, r, i, j, p)
-    if not pts:
-        return Fraction(0)
-    # The x-, y- and z-only factors, sign included, become int weights over
-    # one common denominator: a denominator factorial arg! is perm(M, M - arg)
-    # / M! with M its largest arg over the support.  The xz and xy
-    # denominators are written the same way; they and the yz numerator are
-    # the only factors left in the loop.
-    wx, dx = _factor_weights({x for x, _, _ in pts},
-                             ((n, -1), (m - j, 1), (n - 2 * b - 1, 1)),
-                             ((0, 1), (n - j, -1), (n - 2 * b - 1, -1)))
-    wy, dy = _factor_weights({y for _, y, _ in pts},
-                             ((m - 2 * a - 1, 1), (r - 2 * a - 2 * b - 2, 1)),
-                             ((0, 1), (2 * a + 1, -1), (2 * m - 4 * a - 1, 1),
-                              (2 * n - r + 2 * a - 2 * b, -1)))
-    wz, dz = _factor_weights({z for _, _, z in pts},
-                             ((m + n - 2 * i, -1), (m + n - r + i - j, 1)),
-                             ((0, 1), (n - i, -1), (r - i - j, -1), (m + n - i + 1, -1)))
-    cxz, cxy = m - r + i, -n + r - 2 * a - 1
-    exz = cxz + max(x + z for x, _, z in pts)
-    exy = cxy + max(x + y for x, y, _ in pts)
+    # The sum runs over the box x <= X, y <= Y, z <= Z.  Every bound that
+    # couples two indices is a zero of 1/(cxz+x+z)! or 1/(cxy+x+y)!, carried
+    # by the zero-extended lists B[k] = 1/(cxz+k)! and C[k] = 1/(cxy+k)!;
+    # and cyz >= Y + Z, so A[k] = (cyz-k)! cuts nothing.  The corner
+    # (X, Y, Z) always has a term: admissibility makes cxz + X + Z and
+    # cxy + X + Y >= 0.  Over one common denominator, each denominator
+    # factorial at its largest argument M over the box, a denominator
+    # factorial arg! is the int perm(M, M - arg) = M!/arg!.  The x-, y- and
+    # z-only factors, sign included, are lists with leading zeros below the
+    # least index that has a term.
+    cyz, cxz, cxy = n - i + 2 * a + 1, m - r + i, -n + r - 2 * a - 1
+    X = min(n - 2 * b - 1, n - j)
+    Y = min(2 * a + 1, 2 * n - r + 2 * a - 2 * b)
+    Z = min(n - i, r - i - j)
+    exz, exy = cxz + X + Z, cxy + X + Y
+    x_lo, y_lo, z_lo = max(0, -cxy - Y, -cxz - Z), max(0, -cxy - X), max(0, -cxz - X)
+    # the largest arguments of (n-j-x)!, (n-2b-1-x)!; (2a+1-y)!, (2m-4a-1+y)!,
+    # (2n-r+2a-2b-y)!; (n-i-z)!, (r-i-j-z)!, (m+n-i+1-z)! over the box
+    xa, xb = n - j - x_lo, n - 2 * b - 1 - x_lo
+    ya, yb, yc = 2 * a + 1 - y_lo, 2 * m - 4 * a - 1 + Y, 2 * n - r + 2 * a - 2 * b - y_lo
+    za, zb, zc = n - i - z_lo, r - i - j - z_lo, m + n - i + 1 - z_lo
+    den = n2
+    for top in (X, xa, xb, Y, ya, yb, yc, Z, za, zb, zc, exz, exy):
+        den *= f(top)
+    wx = [0] * x_lo + [(-1 if x & 1 else 1) * f(n - x) * f(m - j + x) * f(n - 2 * b - 1 + x)
+                       * perm(X, X - x) * perm(xa, x - x_lo) * perm(xb, x - x_lo)
+                       for x in range(x_lo, X + 1)]
+    wy = [0] * y_lo + [(-1 if y & 1 else 1) * f(m - 2 * a - 1 + y) * f(r - 2 * a - 2 * b - 2 + y)
+                       * perm(Y, Y - y) * perm(ya, y - y_lo) * perm(yb, Y - y)
+                       * perm(yc, y - y_lo)
+                       for y in range(y_lo, Y + 1)]
+    wz = [0] * z_lo + [(-1 if z & 1 else 1) * f(m + n - 2 * i - z) * f(m + n - r + i - j + z)
+                       * perm(Z, Z - z) * perm(za, z - z_lo) * perm(zb, z - z_lo)
+                       * perm(zc, z - z_lo)
+                       for z in range(z_lo, Z + 1)]
+    A = [f(cyz - k) for k in range(Y + Z + 1)]
+    b_lo, c_lo = max(0, -cxz), max(0, -cxy)
+    B = [0] * b_lo + [perm(exz, exz - cxz - k) for k in range(b_lo, X + Z + 1)]
+    C = [0] * c_lo + [perm(exy, exy - cxy - k) for k in range(c_lo, X + Y + 1)]
     total = 0
-    for x, y, z in pts:
-        total += (wx[x] * wy[y] * wz[z] * f(n - i + 2 * a + 1 - y - z)
-                  * perm(exz, exz - cxz - x - z) * perm(exy, exy - cxy - x - y))
+    for x in range(x_lo, X + 1):
+        row = list(map(operator.mul, wz, B[x:]))
+        inner = 0
+        for y in range(max(0, -cxy - x), Y + 1):  # the first y with C[x + y] != 0
+            inner += wy[y] * C[x + y] * sum(map(operator.mul, row, A[y:]))
+        total += wx[x] * inner
     if (n - j) % 2:
         total = -total
-    return Fraction(n1 * total, n2 * dx * dy * dz * f(exz) * f(exy))
+    return Fraction(n1 * total, den)
 
 
 # ---------------------------------------------------------------------------

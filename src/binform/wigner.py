@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd, isqrt, perm
+from operator import mul
 from struct import pack, unpack
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -58,16 +59,17 @@ class HalfInt:
 
 def _signed_twice(value: HalfIntLike) -> int:
     """Twice a possibly negative half-integer (projections m)."""
+    # Fraction first: the command line and the benchmark pass Fractions
+    if isinstance(value, Fraction):
+        if value.denominator not in (1, 2):
+            raise ValueError(f"not a half-integer: {value}")
+        return value.numerator * (2 // value.denominator)
     if isinstance(value, HalfInt):
         return value.twice
     if isinstance(value, int):
         return 2 * value
     if isinstance(value, str):
-        value = Fraction(value)
-    if isinstance(value, Fraction):
-        if value.denominator not in (1, 2):
-            raise ValueError(f"not a half-integer: {value}")
-        return value.numerator * (2 // value.denominator)
+        return _signed_twice(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
@@ -88,16 +90,24 @@ class QuadraticSurd:
 
     Held as three ints, num/den * sqrt(rad): num/den in lowest terms with
     den > 0, and rad 1 when num is 0.  `coeff` and `radicand` are the public
-    view of them."""
+    view of them.  The constructor takes an int radicand below
+    MAX_RADICAND and moves its square factors into the coefficient."""
 
     __slots__ = ("num", "den", "rad")
 
+    MAX_RADICAND = 10 ** 12
+
     def __init__(self, coeff, radicand: int = 1):
+        if not isinstance(radicand, int):
+            raise ValueError(f"radicand must be an int, not {radicand!r}")
         if radicand < 1:
             raise ValueError("radicand must be positive")
+        if radicand >= self.MAX_RADICAND:
+            raise ValueError(f"radicand {radicand} is not below {self.MAX_RADICAND}")
         coeff = Fraction(coeff)
-        self.num, self.den = coeff.numerator, coeff.denominator
-        self.rad = radicand if self.num else 1
+        root, radicand = _square_part(radicand) if coeff else (1, 1)
+        coeff *= root
+        self.num, self.den, self.rad = coeff.numerator, coeff.denominator, radicand
 
     @classmethod
     def _of(cls, num: int, den: int, rad: int) -> "QuadraticSurd":
@@ -157,6 +167,26 @@ class QuadraticSurd:
 
     def __repr__(self) -> str:
         return f"QuadraticSurd(coeff=Fraction({self.num}, {self.den}), radicand={self.rad})"
+
+
+def _square_part(n: int) -> Tuple[int, int]:
+    """(root, free) with n = root**2 * free and free squarefree, for n >= 1.
+    Trial division runs while d**3 <= rest; the rest left then has every
+    prime factor above its cube root, so it is 1, a prime, a product of two
+    distinct primes or the square of a prime, and one isqrt settles it."""
+    root, free, rest, d = 1, 1, n, 2
+    while d * d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            root *= d ** (e // 2)
+            if e & 1:
+                free *= d
+        d += 1
+    s = isqrt(rest)
+    return (root * s, free) if s * s == rest else (root, free * rest)
 
 
 def _lowest(num: int, den: int, rad: int) -> QuadraticSurd:
@@ -457,7 +487,7 @@ class NineJArray:
     __slots__ = ("_tw",)
 
     def __init__(self, rows: Sequence[Sequence[HalfIntLike]]):
-        self._set(tuple(tuple(_twice(v) for v in row) for row in rows))
+        self._set(tuple(tuple(map(_twice, row)) for row in rows))
 
     @classmethod
     def _of_twice(cls, tw: Sequence[Sequence[int]]) -> "NineJArray":
@@ -573,83 +603,80 @@ def _triple_sum_params(tw: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ..
     return (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3)
 
 
-def _triple_sum_lattice(params: Tuple[Tuple[int, ...], ...]):
-    """(x, y, z_lo, z_hi) for every (x, y) over which the triple sum has
-    terms, z running from z_lo to z_hi."""
-    (_, _, _, x4, x5), (_, _, _, y4, y5), (_, _, _, z4, z5), (p1, p2, p3) = params
-    for x in range(0, min(x4, x5) + 1):
-        z_lo = max(0, -p3 - x)
-        for y in range(max(0, -p2 - x), min(y4, y5) + 1):
-            z_hi = min(z4, z5, p1 - y)
-            if z_hi >= z_lo:
-                yield x, y, z_lo, z_hi
-
-
 def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
     """9-j symbol via the three-index summation formula."""
     tw = arr.twice_rows()
     (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-    params = _triple_sum_params(tw)
-    (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3) = params
+    (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3) = \
+        _triple_sum_params(tw)
 
     # Each term is (-1)^(x+y+z) num/den with num and den products of
-    # factorials.  Over one common denominator, the product of the 13
-    # denominator factorials each at its largest argument M over the
-    # lattice, a term is the int num * prod(M!/arg!), and M!/arg! is
-    # perm(M, M - arg).  The factors in x, y or z alone are made once.
-    lattice = list(_triple_sum_lattice(params))
-    if not lattice:
-        return QuadraticSurd.zero()
-    xs = [x for x, _, _, _ in lattice]
-    ys = [y for _, y, _, _ in lattice]
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    z_lo = min(lo for _, _, lo, _ in lattice)
-    z_hi = max(hi for _, _, _, hi in lattice)
-    mxy = p2 + max(x + y for x, y, _, _ in lattice)
-    mxz = p3 + max(x + hi for x, _, _, hi in lattice)
-    den = 1
-    for m in (x_hi, x4 - x_lo, x5 - x_lo, y_hi, y3 + y_hi, y4 - y_lo, y5 - y_lo,
-              z_hi, z3 - z_lo, z4 - z_lo, z5 - z_lo, mxy, mxz):
-        den *= factorial(m)
-
+    # factorials.  The sum runs over the box x <= X, y <= Y, z <= Z.  Every
+    # bound of the lattice that couples two indices is a zero of
+    # 1/(p2+x+y)! or 1/(p3+x+z)!, carried by the zero-extended lists
+    # B[k] = 1/(p3+k)! and C[k] = 1/(p2+k)!; and p1 = y5 + z4 >= Y + Z, so
+    # A[k] = (p1-k)! cuts nothing.  The corner (X, Y, Z) always has a term:
+    # by the triangle rules p2 + X + Y and p3 + X + Z are >= 0.  Over one
+    # common denominator, the 13 denominator factorials each at its largest
+    # argument M over the box, a denominator factorial arg! becomes the int
+    # M!/arg! = perm(M, M - arg).  The factors in x, y or z alone are lists
+    # with leading zeros below the least index that has a term.
+    X, Y, Z = min(x4, x5), min(y4, y5), min(z4, z5)
+    mxy, mxz = p2 + X + Y, p3 + X + Z
+    x_lo, y_lo, z_lo = max(0, -p2 - Y, -p3 - Z), max(0, -p2 - X), max(0, -p3 - X)
     f = factorial
-    wx = {x: (-1) ** x * f(x1 - x) * f(x2 + x) * f(x3 + x) * perm(x_hi, x_hi - x)
-          * perm(x4 - x_lo, x - x_lo) * perm(x5 - x_lo, x - x_lo)
-          for x in range(x_lo, x_hi + 1)}
-    wy = {y: (-1) ** y * f(y1 + y) * f(y2 + y) * perm(y_hi, y_hi - y)
-          * perm(y3 + y_hi, y_hi - y) * perm(y4 - y_lo, y - y_lo) * perm(y5 - y_lo, y - y_lo)
-          for y in range(y_lo, y_hi + 1)}
-    wz = {z: (-1) ** z * f(z1 - z) * f(z2 + z) * perm(z_hi, z_hi - z)
-          * perm(z3 - z_lo, z - z_lo) * perm(z4 - z_lo, z - z_lo) * perm(z5 - z_lo, z - z_lo)
-          for z in range(z_lo, z_hi + 1)}
+    den = 1
+    for m in (X, x4 - x_lo, x5 - x_lo, Y, y3 + Y, y4 - y_lo, y5 - y_lo,
+              Z, z3 - z_lo, z4 - z_lo, z5 - z_lo, mxy, mxz):
+        den *= f(m)
+    wx = [0] * x_lo + [(-1 if x & 1 else 1) * f(x1 - x) * f(x2 + x) * f(x3 + x)
+                       * perm(X, X - x) * perm(x4 - x_lo, x - x_lo) * perm(x5 - x_lo, x - x_lo)
+                       for x in range(x_lo, X + 1)]
+    wy = [0] * y_lo + [(-1 if y & 1 else 1) * f(y1 + y) * f(y2 + y) * perm(Y, Y - y)
+                       * perm(y3 + Y, Y - y) * perm(y4 - y_lo, y - y_lo)
+                       * perm(y5 - y_lo, y - y_lo)
+                       for y in range(y_lo, Y + 1)]
+    wz = [0] * z_lo + [(-1 if z & 1 else 1) * f(z1 - z) * f(z2 + z) * perm(Z, Z - z)
+                       * perm(z3 - z_lo, z - z_lo) * perm(z4 - z_lo, z - z_lo)
+                       * perm(z5 - z_lo, z - z_lo)
+                       for z in range(z_lo, Z + 1)]
+    A = [f(p1 - k) for k in range(Y + Z + 1)]
+    b_lo, c_lo = max(0, -p3), max(0, -p2)
+    B = [0] * b_lo + [perm(mxz, mxz - p3 - k) for k in range(b_lo, X + Z + 1)]
+    C = [0] * c_lo + [perm(mxy, mxy - p2 - k) for k in range(c_lo, X + Y + 1)]
     total = 0
-    for x, y, lo, hi in lattice:
-        inner = sum(wz[z] * f(p1 - y - z) * perm(mxz, mxz - p3 - x - z)
-                    for z in range(lo, hi + 1))
-        total += wx[x] * wy[y] * perm(mxy, mxy - p2 - x - y) * inner
+    for x in range(x_lo, X + 1):
+        row = list(map(mul, wz, B[x:]))
+        inner = 0
+        for y in range(max(0, -p2 - x), Y + 1):  # the first y with C[x + y] != 0
+            inner += wy[y] * C[x + y] * sum(map(mul, row, A[y:]))
+        total += wx[x] * inner
 
-    def bracket(a, b, c, invert):
-        # [a,b,c] = sqrt((a-b+c)!(a+b-c)!(a+b+c+1)!/(-a+b+c)!), args twice-values
-        nums = [(a - b + c) // 2, (a + b - c) // 2, (a + b + c + 2) // 2]
-        dens = [(-a + b + c) // 2]
-        return (dens, nums) if invert else (nums, dens)
-
-    nums, dens = [], []
-    for a, b, c, inv in [
-        (j3, j1, j13, False), (j2, j4, j24, False), (J, j13, j24, False),
-        (j3, j4, j34, True), (j2, j1, j12, True), (J, j12, j34, True),
-    ]:
-        nn, dd = bracket(a, b, c, inv)
-        nums.extend(nn)
-        dens.extend(dd)
+    # the brackets [a,b,c] = sqrt((a-b+c)!(a+b-c)!(a+b+c+1)!/(-a+b+c)!) of
+    # (j3,j1,j13), (j2,j4,j24), (J,j13,j24) over those of (j3,j4,j34),
+    # (j2,j1,j12), (J,j12,j34); args twice-values
+    h = lambda *v: [t // 2 for t in v]  # noqa: E731
+    nums = h(j3 - j1 + j13, j3 + j1 - j13, j3 + j1 + j13 + 2,
+             j2 - j4 + j24, j2 + j4 - j24, j2 + j4 + j24 + 2,
+             J - j13 + j24, J + j13 - j24, J + j13 + j24 + 2,
+             -j3 + j4 + j34, -j2 + j1 + j12, -J + j12 + j34)
+    dens = h(-j3 + j1 + j13, -j2 + j4 + j24, -J + j13 + j24,
+             j3 - j4 + j34, j3 + j4 - j34, j3 + j4 + j34 + 2,
+             j2 - j1 + j12, j2 + j1 - j12, j2 + j1 + j12 + 2,
+             J - j12 + j34, J + j12 - j34, J + j12 + j34 + 2)
     sgn = -1 if x5 % 2 else 1
     return sqrt_factorial_ratio(nums, dens, sgn * total, den)
 
 
 def ninej_support_size(arr: NineJArray) -> int:
-    """Number of lattice triples the triple sum ranges over."""
-    params = _triple_sum_params(arr.twice_rows())
-    return sum(z_hi - z_lo + 1 for _, _, z_lo, z_hi in _triple_sum_lattice(params))
+    """Number of lattice triples (x, y, z) with a term in the triple sum."""
+    (_, _, _, x4, x5), (_, _, _, y4, y5), (_, _, _, z4, z5), (_, p2, p3) = \
+        _triple_sum_params(arr.twice_rows())
+    # the terms at one x fill a y-range times a z-range, cut below by
+    # p2 + x + y >= 0 and p3 + x + z >= 0 (see ninej_triple_sum)
+    Y, Z = min(y4, y5), min(z4, z5)
+    return sum(max(0, Y + 1 - max(0, -p2 - x)) * max(0, Z + 1 - max(0, -p3 - x))
+               for x in range(min(x4, x5) + 1))
 
 
 _ROW_PERMS = [((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),

@@ -13,7 +13,6 @@ from binform.syzygy import (
     closed_form_table,
     kappa,
     kappa_oracle,
-    kappa_support,
     minimal_equation_u1_check,
     pi_set,
     reconstruct,
@@ -57,6 +56,24 @@ class TestPiSet:
                 if abs(x - y) <= target <= x + y and (x + y - target) % 2 == 0
             )
             assert count == len(pi_set(m, n, r)), (m, n, r)
+
+
+def kappa_support(m, n, r, i, j, p):
+    """The index triples (x, y, z) the triple sum for kappa ranges over:
+    the enumerator of _kappa_per_term, kept apart from the package's box
+    evaluation."""
+    a, b = p
+    _check_admissible(m, n, r, i, j, a, b)
+    pts = []
+    for x in range(0, min(n - 2 * b - 1, n - j) + 1):
+        ylo = max(0, n - r + 2 * a + 1 - x)
+        yhi = min(2 * a + 1, 2 * n - r + 2 * a - 2 * b)
+        for y in range(ylo, yhi + 1):
+            zlo = max(0, r - m - i - x)
+            zhi = min(n - i, r - i - j, n - i + 2 * a + 1 - y)
+            for z in range(zlo, zhi + 1):
+                pts.append((x, y, z))
+    return pts
 
 
 def _kappa_per_term(m, n, r, i, j, p):

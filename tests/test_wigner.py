@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import factorial, gcd, isqrt
+from typing import Tuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -156,6 +157,28 @@ class TestQuadraticSurd:
     def test_str(self):
         assert str(QuadraticSurd(F(2, 3), 5)) == "2/3 * sqrt(5)"
         assert str(QuadraticSurd(F(-1, 2))) == "-1/2"
+
+    def test_square_factors_move_into_the_coefficient(self):
+        assert QuadraticSurd(1, 4) == QuadraticSurd(2)
+        assert str(QuadraticSurd(1, 4)) == "2"
+        assert QuadraticSurd(1, 12) == QuadraticSurd(2, 3)
+        assert str(QuadraticSurd(F(1, 3), 2 * 3 ** 2 * 5)) == "1 * sqrt(10)"
+        assert QuadraticSurd(F(-1, 2), 18) == QuadraticSurd(F(-3, 2), 2)
+        # what trial division leaves: the square of a prime, two primes
+        p, q = 999983, 999979
+        assert QuadraticSurd(1, p * p) == QuadraticSurd(p)
+        assert QuadraticSurd(1, 3 * 9973 ** 2) == QuadraticSurd(9973, 3)
+        assert QuadraticSurd(1, p * q).radicand == p * q
+        assert QuadraticSurd(F(0), 36) == QuadraticSurd.zero()
+
+    def test_radicand_must_be_a_small_int(self):
+        cap = QuadraticSurd.MAX_RADICAND
+        assert QuadraticSurd(1, cap - 1) == QuadraticSurd(3, (cap - 1) // 9)  # 3^3 * 7 * ...
+        with pytest.raises(ValueError, match="is not below"):
+            QuadraticSurd(1, cap)
+        for bad in (2.0, "4", F(4)):
+            with pytest.raises(ValueError, match="radicand must be an int"):
+                QuadraticSurd(1, bad)
 
     @given(_surds, _surds)
     def test_product_squares_multiply(self, u, v):
@@ -552,6 +575,112 @@ def _arrays_with_top(top, count, seed):
         if r3 in tset and max(r1 + r2 + r3) == top:
             out.append((r1, r2, r3))
     return out
+
+
+def _ninej_per_term(tw):
+    """The 9-j triple sum of the array of twice-values tw with one Fraction
+    per term, sharing no code with the package: (S, P, terms, cut), with the
+    symbol equal to S * sqrt(P).  (x, y, z) runs over a box larger than any
+    support, and a point is a term when every factorial argument is >= 0.
+    `cut` counts the points whose one-index arguments are all >= 0 but whose
+    (x, y), (x, z) or (y, z) argument is not."""
+    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
+    S, terms, cut = F(0), 0, 0
+    top = max(map(max, tw)) + 2
+    for x in range(top):
+        for y in range(top):
+            for z in range(top):
+                one = [x, (-j3 + j4 + j34) // 2 - x, (j12 + j34 - J) // 2 - x,
+                       j34 - x, (j3 + j4 - j34) // 2 + x, (j12 - j34 + J) // 2 + x,
+                       y, j24 + 1 + y, (j2 + j4 - j24) // 2 - y, (j13 - j24 + J) // 2 - y,
+                       (-j2 + j4 + j24) // 2 + y, (j13 + j24 - J) // 2 + y,
+                       z, (j1 + j3 + j13 + 2) // 2 - z, (j1 + j3 - j13) // 2 - z,
+                       (j1 - j2 + j12) // 2 - z, j1 - z, (-j1 + j2 + j12) // 2 + z]
+                if min(one) < 0:
+                    continue
+                two = [(j1 + j3 - j24 + J) // 2 - y - z, (-j2 + j3 - j34 + j24) // 2 + x + y,
+                       (-j1 + j2 - j34 + J) // 2 + x + z]
+                if min(two) < 0:
+                    cut += 1
+                    continue
+                num = (factorial(j34 - x) * factorial((j3 + j4 - j34) // 2 + x)
+                       * factorial((j12 - j34 + J) // 2 + x)
+                       * factorial((-j2 + j4 + j24) // 2 + y) * factorial((j13 + j24 - J) // 2 + y)
+                       * factorial(j1 - z) * factorial((-j1 + j2 + j12) // 2 + z)
+                       * factorial(two[0]))
+                den = (factorial(x) * factorial((-j3 + j4 + j34) // 2 - x)
+                       * factorial((j12 + j34 - J) // 2 - x)
+                       * factorial(y) * factorial(j24 + 1 + y)
+                       * factorial((j2 + j4 - j24) // 2 - y) * factorial((j13 - j24 + J) // 2 - y)
+                       * factorial(z) * factorial((j1 + j3 + j13 + 2) // 2 - z)
+                       * factorial((j1 + j3 - j13) // 2 - z) * factorial((j1 - j2 + j12) // 2 - z)
+                       * factorial(two[1]) * factorial(two[2]))
+                term = F(num, den)
+                S += -term if (x + y + z) % 2 else term
+                terms += 1
+    if (j12 + j34 - J) // 2 % 2:
+        S = -S
+
+    def bracket_sq(a, b, c):
+        # [a,b,c]^2 = (a-b+c)!(a+b-c)!(a+b+c+1)!/(-a+b+c)!, twice-values
+        return F(factorial((a - b + c) // 2) * factorial((a + b - c) // 2)
+                 * factorial((a + b + c + 2) // 2), factorial((-a + b + c) // 2))
+
+    P = (bracket_sq(j3, j1, j13) * bracket_sq(j2, j4, j24) * bracket_sq(J, j13, j24)
+         / (bracket_sq(j3, j4, j34) * bracket_sq(j2, j1, j12) * bracket_sq(J, j12, j34)))
+    return S, P, terms, cut
+
+
+def _agrees_with_per_term(tw) -> Tuple[int, int]:
+    """Assert that the package's triple sum and support size on tw match the
+    per-term oracle; return the oracle's (terms, cut)."""
+    arr = NineJArray._of_twice(tw)
+    S, P, terms, cut = _ninej_per_term(tw)
+    v = ninej_triple_sum(arr)
+    assert _sq(v) == S * S * P, tw
+    assert (v.coeff > 0) == (S > 0) and (v.coeff < 0) == (S < 0), tw
+    assert ninej_support_size(arr) == terms, tw
+    return terms, cut
+
+
+class TestTripleSumPerTerm:
+    """The triple sum, evaluated over its index box with zero-extended factor
+    lists, against one Fraction per term."""
+
+    def test_every_array_up_to_three_halves(self):
+        arrays = _arrays_upto(3)
+        assert len(arrays) == 1616
+        counts = [_agrees_with_per_term(tw) for tw in arrays]
+        # the box holds points whose terms are cut in many of these arrays
+        assert sum(1 for _, cut in counts if cut) > 500
+
+    def test_seeded_sample_with_top_entries_12_to_20(self):
+        for top in (12, 14, 16, 18, 20):
+            for tw in _arrays_with_top(top, 5, 1900 + top):
+                _agrees_with_per_term(tw)
+
+    def test_arrays_with_cut_terms_and_zero_value(self):
+        # No valid array has every point of its box cut: by the triangle
+        # rules the corner of largest x, y and z is a term.  So this takes
+        # the arrays of the grid up to 4 with more cut points than terms,
+        # and those whose terms cancel to 0.
+        arrays = _arrays_upto(4)
+        zero = [tw for tw in arrays if ninej_triple_sum(NineJArray._of_twice(tw)).is_zero()]
+        assert len(zero) == 457
+        for tw in random.Random(31).sample(zero, 40):
+            terms, _ = _agrees_with_per_term(tw)
+            assert terms >= 1, tw
+        mostly_cut = 0
+        for tw in random.Random(37).sample(arrays, 400):
+            terms, cut = _agrees_with_per_term(tw)
+            mostly_cut += cut > terms
+        assert mostly_cut >= 20
+
+    def test_stretched_single_term_kappa_arrays(self):
+        for (m, n, r) in TestKappaBridge.GRIDS:
+            _, rearranged = kappa_ninej_arrays(m, n, r, 0, r, (0, 0))
+            terms, _ = _agrees_with_per_term(rearranged.twice_rows())
+            assert terms == 1
 
 
 class TestPackedChainKeys:
