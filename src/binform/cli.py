@@ -246,13 +246,14 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-# Caps on twice-entries (2j and 2|m|) of the recoupling commands.  At each
-# cap the costliest inputs found take about 1 s per command, start-up
-# included, on 2 shared cores with Python 3.11: `threej --j 400,400,400
-# --m 400,-400,0` 0.98 s, `sixj` with every entry 64 0.89 s, and `ninej`
-# on {20 20 20; 20 20 20; 20 20 0} by both routes 0.98 s.  The cost grows
-# about as the fourth power of the entries: threej(1000, 1000, 1000, 0, 0, 0)
-# takes 25 s.
+# Caps on twice-entries (2j and 2|m|) of the recoupling commands, set where
+# the costliest inputs found took about 1 s per command, start-up included.
+# Timed since then from the command line, start-up included, on 2 shared
+# cores with Python 3.11, best of 5 in each of three rounds: `threej --j
+# 400,400,400 --m 400,-400,0` 0.51-0.82 s, `sixj` with every entry 64
+# 0.38-0.47 s, and `ninej` on {20 20 20; 20 20 20; 20 20 0} by both routes
+# 0.18-0.25 s.  The cost grows about as the fourth power of the entries:
+# threej(1000, 1000, 1000, 0, 0, 0) takes 25 s.
 _MAX_THREEJ_TWICE = 800
 _MAX_SIXJ_TWICE = 128
 _MAX_NINEJ_TWICE = 40

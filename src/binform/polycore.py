@@ -11,14 +11,12 @@ substitution, and exact division.  The operators and the product run on
 one set of raw kernels over packed int exponent keys; a MultiForm packs
 its tuple keys at that boundary.  Two steps, a split of one pair into two
 and a merge of two pairs into one, are the one engine behind the 9-j
-operator chain and the transvectant projection and section.  Each makes
-one pass over its input terms: a merge sends each monomial to one
-monomial times a memoised weight, and a split looks up each source
-monomial's image in a memo filled by the raw kernels on that one
-monomial; the memos hold at most _MAX_MEMO_TERMS image terms each.
-`_primitive` is the package's one split of rational values
-into a content and a primitive int part.  Transvectants of two binary
-forms run on their own dense Leibniz kernel in the transvectant module.
+operator chain and the transvectant projection and section; both run
+through `_step`, one pass over the input terms with one memo of monomial
+images keyed by step signature, bounded at _MAX_MEMO_TERMS image slots.
+`_primitive` is the package's one split of rational values into a content
+and a primitive int part.  Transvectants of two binary forms run on their
+own dense Leibniz kernel in the transvectant module.
 
 All values are immutable and all operations are pure: inputs are never
 mutated and equal inputs give equal outputs.
@@ -231,56 +229,57 @@ def _raw_bracket_power(w: int, a: str, b: str, r: int) -> dict:
 # ---------------------------------------------------------------------------
 # The split and merge steps.
 #
-# Each step makes one pass over its input terms.  The image of a term
-# depends only on its exponents in the pairs the step reads, so images are
-# memoised.  A merge sends each monomial to exactly one monomial: the r+1
-# terms omega^r makes of a1^ea1 a2^ea2 b1^eb1 b2^eb2 all land on
-# dst1^(ea1+eb1-r) dst2^(ea2+eb2-r) once both pairs are substituted, so the
-# image is one weight, the sum of the `_omega_terms` coefficients.  A split
-# sends src1^e1 src2^e2 to the same terms wherever it sits, shifted, so the
-# image is the kernel composition run once on that monomial alone, stored
-# as (key offset, coefficient) items.  The memos are module globals looked
-# up at call time.  Each holds at most _MAX_MEMO_TERMS image terms and
-# drops its oldest half when full: a dict scans past the slots its deleted
-# oldest entries leave, so dropping them one at a time would be quadratic.
+# Both steps run on one engine, `_step`: one pass over the input terms that
+# looks up each term's monomial, in the fields the step reads, in one memo
+# keyed by step signature.  An image is a tuple of (key offset, coefficient)
+# items.  A split, signature (w, src, a, b, ja, jb, j), sends src1^e1
+# src2^e2 to the same terms wherever it sits, shifted, so its image is the
+# kernels run once on that monomial.  A merge, signature (w, a, b, dst, r),
+# sends a1^ea1 a2^ea2 b1^eb1 b2^eb2 to dst1^(ea1+eb1-r) dst2^(ea2+eb2-r)
+# times the sum of the `_omega_terms` coefficients: one item, or none when
+# that sum is 0; the offset is right whether dst is a, b or a third pair.
+# A signature's rule, computed once per group, gives the fields it reads and
+# its image function.  The memo is a module global looked up at call time.
+# It holds at most _MAX_MEMO_TERMS image slots, an image taking
+# max(1, len(image)) so that empty images count too, and drops its oldest
+# half when full: a dict scans past the slots its deleted oldest entries
+# leave, so dropping them one at a time would be quadratic.
 # ---------------------------------------------------------------------------
 
 _MAX_MEMO_TERMS = 1 << 16
 
 
 class _Images(dict):
-    """Split images by step signature (w, src, a, b, ja, jb, j), then by
-    source monomial, with the number of image terms stored."""
+    """Step images by step signature, each in a (field mask, image function,
+    {monomial: image}) group, with the number of image slots stored."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("slots",)
 
     def __init__(self):
         super().__init__()
-        self.terms = 0
+        self.slots = 0
 
 
-_split_images = _Images()
-
-_merge_weights: dict = {}  # (r, ea1, ea2, eb1, eb2) -> weight, one term each
+_step_images = _Images()
 
 
 def _oldest_half(memo: dict) -> list:
     return list(islice(memo, (len(memo) + 1) // 2))
 
 
-def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
-    """Split pair src, of order j, into pairs a and b of orders ja and jb."""
-    field = ((1 << 2 * w) - 1) << _offsets(w, src)[0]  # both src fields
-    sig = (w, src, a, b, ja, jb, j)
-    images = _split_images.get(sig, {})
+def _step(t: dict, sig: tuple, rule) -> dict:
+    """The step with signature sig on t; rule(sig) gives the mask of the
+    fields the step reads and the function from a monomial to its image."""
+    group = _step_images.get(sig) or (*rule(sig), {})
+    field, fill, images = group
     out: dict = {}
     get = out.get
     for key, c in t.items():
         mono = key & field
         image = images.get(mono)
         if image is None:
-            image = _split_image(sig, mono)
-            images = _split_images.get(sig, images)
+            image = fill(mono)
+            images = _remember(sig, group, mono, image, images)
         for move, ci in image:
             nk = key + move
             nc = get(nk, 0) + c * ci
@@ -291,62 +290,61 @@ def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) 
     return out
 
 
-def _split_image(sig: tuple, mono: int) -> tuple:
-    """The split with signature sig of the one monomial mono, as
-    (key offset, coefficient) items, stored in the split memo."""
+def _remember(sig: tuple, group: tuple, mono: int, image: tuple, images: dict) -> dict:
+    """Store image in the memo; return the images to look up next, those of
+    sig in the memo, which the eviction may have replaced by a new group."""
+    memo = _step_images
+    slots = len(image) or 1
+    if slots > _MAX_MEMO_TERMS:
+        return images
+    while memo.slots + slots > _MAX_MEMO_TERMS:
+        for old in _oldest_half(memo):
+            memo.slots -= sum([len(i) or 1 for i in memo.pop(old)[2].values()])
+    live = memo.get(sig)
+    if live is None:
+        live = memo[sig] = (group[0], group[1], {})
+    live[2][mono] = image
+    memo.slots += slots
+    return live[2]
+
+
+def _split(t: dict, w: int, src: str, a: str, b: str, ja: int, jb: int, j: int) -> dict:
+    """Split pair src, of order j, into pairs a and b of orders ja and jb."""
+    return _step(t, (w, src, a, b, ja, jb, j), _split_rule)
+
+
+def _split_rule(sig: tuple) -> tuple:
     w, src, a, b, ja, jb, j = sig
-    t = _raw_polarize({mono: 1}, w, src, a, (ja + j - jb) // 2)
-    t = _raw_polarize(t, w, src, b, (jb + j - ja) // 2)
     r = (ja + jb - j) // 2
-    if r:
-        t = _raw_mul(t, _raw_bracket_power(w, a, b, r))
-    image = tuple([(key - mono, c) for key, c in t.items()])
-    memo = _split_images
-    if len(image) <= _MAX_MEMO_TERMS:
-        while memo and memo.terms + len(image) > _MAX_MEMO_TERMS:
-            for old in _oldest_half(memo):
-                memo.terms -= sum(map(len, memo.pop(old).values()))
-        memo.setdefault(sig, {})[mono] = image
-        memo.terms += len(image)
-    return image
+    bracket = _raw_bracket_power(w, a, b, r)
+
+    def image(mono: int) -> tuple:
+        t = _raw_polarize({mono: 1}, w, src, a, (ja + j - jb) // 2)
+        t = _raw_polarize(t, w, src, b, (jb + j - ja) // 2)
+        if r:
+            t = _raw_mul(t, bracket)
+        return tuple([(key - mono, c) for key, c in t.items()])
+    return ((1 << 2 * w) - 1) << _offsets(w, src)[0], image
 
 
 def _merge(t: dict, w: int, a: str, b: str, dst: str, ja: int, jb: int, jab: int) -> dict:
     """Couple pairs a and b, of orders ja and jb, to order jab in pair dst,
     which may be one of them."""
-    r = (ja + jb - jab) // 2
+    return _step(t, (w, a, b, dst, (ja + jb - jab) // 2), _merge_rule)
+
+
+def _merge_rule(sig: tuple) -> tuple:
+    w, a, b, dst, r = sig
     (a1, a2), (b1, b2), (d1, d2) = _offsets(w, a), _offsets(w, b), _offsets(w, dst)
     mask = (1 << w) - 1
-    keep = ~((mask << a1) | (mask << a2) | (mask << b1) | (mask << b2))
-    weights = _merge_weights
-    out: dict = {}
-    get = out.get
-    for key, c in t.items():
-        ea1, ea2, eb1, eb2 = key >> a1 & mask, key >> a2 & mask, key >> b1 & mask, key >> b2 & mask
-        exps = (r, ea1, ea2, eb1, eb2)
-        weight = weights.get(exps)
-        if weight is None:
-            weight = _merge_weight(exps)
-        if weight:
-            nk = (key & keep) + ((ea1 + eb1 - r) << d1) + ((ea2 + eb2 - r) << d2)
-            nc = get(nk, 0) + c * weight
-            if nc:
-                out[nk] = nc
-            else:
-                del out[nk]
-    return out
 
-
-def _merge_weight(exps: tuple) -> int:
-    """The merge weight of exps = (r, ea1, ea2, eb1, eb2), stored in the
-    merge memo."""
-    weight = sum([c for _, c in _omega_terms(*exps)])
-    memo = _merge_weights
-    if len(memo) >= _MAX_MEMO_TERMS:
-        for old in _oldest_half(memo):
-            del memo[old]
-    memo[exps] = weight
-    return weight
+    def image(mono: int) -> tuple:
+        ea1, ea2, eb1, eb2 = mono >> a1 & mask, mono >> a2 & mask, mono >> b1 & mask, mono >> b2 & mask
+        weight = sum([c for _, c in _omega_terms(r, ea1, ea2, eb1, eb2)])
+        if not weight:
+            return ()
+        return ((((ea1 + eb1 - r) << d1) + ((ea2 + eb2 - r) << d2) - mono, weight),)
+    return (mask << a1) | (mask << a2) | (mask << b1) | (mask << b2), image
 
 
 # ---------------------------------------------------------------------------

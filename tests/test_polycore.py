@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binform import polycore
+from binform import polycore, wigner
 from binform.polycore import (
     MultiForm,
     _primitive,
@@ -423,15 +423,14 @@ def test_steps_equal_the_three_pass_compositions(terms, roles, orders, dst_role)
             _merge_three_pass(t, w, one, two, dst, ja, jb, j)
 
 
-def _stored_terms():
-    images = polycore._split_images
-    return sum(len(image) for group in images.values() for image in group.values())
+def _stored_slots():
+    return sum(len(image) or 1 for _, _, images in polycore._step_images.values()
+               for image in images.values())
 
 
 def test_step_memos_stay_within_their_bound(monkeypatch):
     monkeypatch.setattr(polycore, "_MAX_MEMO_TERMS", 40)
-    monkeypatch.setattr(polycore, "_split_images", polycore._Images())
-    monkeypatch.setattr(polycore, "_merge_weights", {})
+    monkeypatch.setattr(polycore, "_step_images", polycore._Images())
     rng = random.Random(5)
     stored = []
     for _ in range(300):
@@ -443,10 +442,25 @@ def test_step_memos_stay_within_their_bound(monkeypatch):
             _split_three_pass(t, _STEP_WIDTH, "x", "y", "p", ja, jb, j)
         assert polycore._merge(t, _STEP_WIDTH, "x", "y", "u", ja, jb, j) == \
             _merge_three_pass(t, _STEP_WIDTH, "x", "y", "u", ja, jb, j)
-        assert polycore._split_images.terms == _stored_terms() <= 40
-        assert len(polycore._merge_weights) <= 40
-        stored.append(_stored_terms())
+        assert polycore._step_images.slots == _stored_slots() <= 40
+        stored.append(_stored_slots())
     assert any(b < a for a, b in zip(stored, stored[1:]))  # the bound evicted
+
+
+def test_zero_weight_merges_take_memo_slots(monkeypatch):
+    # omega sends x1^k y1^m to 0: an empty image, which must still count
+    monkeypatch.setattr(polycore, "_MAX_MEMO_TERMS", 16)
+    monkeypatch.setattr(polycore, "_step_images", polycore._Images())
+    groups = set()
+    for w in range(_STEP_WIDTH, _STEP_WIDTH + 4):
+        t = {polycore._key(w, x=(k, 0), y=(m, 0)): k + m + 1 for k in range(8) for m in range(8)}
+        for dst in ("x", "y", "u", "p"):
+            # one step with 64 misses evicts its own group as it runs
+            assert polycore._merge(t, w, "x", "y", dst, 3, 2, 3) == {}
+            assert _merge_three_pass(t, w, "x", "y", dst, 3, 2, 3) == {}
+            assert polycore._step_images.slots == _stored_slots() <= 16
+            groups.update(polycore._step_images)
+    assert len(groups) == 16 > len(polycore._step_images)
 
 
 def test_a_fault_under_fresh_memos_does_not_outlive_them(monkeypatch):
@@ -455,9 +469,48 @@ def test_a_fault_under_fresh_memos_does_not_outlive_them(monkeypatch):
     assert (true.coeff, true.radicand) == (F(1, 48), 1)
     polarize_ = polycore._raw_polarize
     with monkeypatch.context() as patch:
-        patch.setattr(polycore, "_split_images", polycore._Images())
-        patch.setattr(polycore, "_merge_weights", {})
+        patch.setattr(polycore, "_step_images", polycore._Images())
         patch.setattr(polycore, "_raw_polarize",
                       lambda t, *args: {k: 2 * c for k, c in polarize_(t, *args).items()})
         assert ninej_operator(arr) != true
     assert ninej_operator(arr) == true
+
+
+# -- the whole 9-j chain against the three-pass steps -------------------------
+
+
+def _small_ninej_arrays():
+    """Every valid 9-j array with twice-entries at most 3."""
+    triads = [t for t in product(range(4), repeat=3)
+              if sum(t) % 2 == 0 and max(t) <= sum(t) - max(t)]
+    valid = set(triads)
+    return [rows for rows in product(triads, repeat=3) if all(col in valid for col in zip(*rows))]
+
+
+def _chain(tw, w, split, merge):
+    """wigner._ninej_chain's steps on tw at field width w, through the given
+    split and merge."""
+    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
+    t = split({polycore._key(w, z=(J, 0)): 1}, w, "z", "x", "y", j13, j24, J)
+    t = split(t, w, "x", "p", "q", j1, j3, j13)
+    t = split(t, w, "y", "u", "v", j2, j4, j24)
+    t = merge(t, w, "p", "u", "x", j1, j2, j12)
+    t = merge(t, w, "q", "v", "y", j3, j4, j34)
+    t = merge(t, w, "x", "y", "z", j12, j34, J)
+    c = t.pop(polycore._key(w, z=(J, 0)), 0)
+    assert not t
+    return c
+
+
+@pytest.mark.parametrize("warm", (False, True))
+def test_ninej_chain_equals_the_three_pass_chain(monkeypatch, warm):
+    monkeypatch.setattr(polycore, "_step_images", polycore._Images())
+    arrays = _small_ninej_arrays()
+    assert len(arrays) == 1616
+    if warm:  # fill the memo at width 3; the arrays' own widths are 1 and 2
+        for tw in arrays:
+            assert _chain(tw, 3, polycore._split, polycore._merge) == \
+                _chain(tw, 3, _split_three_pass, _merge_three_pass), tw
+    for tw in arrays:
+        w = polycore._width(*sum(tw, ()))
+        assert wigner._ninej_chain(tw) == _chain(tw, w, _split_three_pass, _merge_three_pass), tw

@@ -713,8 +713,7 @@ class TestPackedChainKeys:
     @pytest.fixture
     def fresh_step_memos(self, monkeypatch):
         # no step image computed under a fault outlives the test
-        monkeypatch.setattr(polycore, "_split_images", polycore._Images())
-        monkeypatch.setattr(polycore, "_merge_weights", {})
+        monkeypatch.setattr(polycore, "_step_images", polycore._Images())
 
     def test_corrupted_chain_step_is_caught(self, monkeypatch, fresh_step_memos):
         # a last merge that leaves its source pairs in place cannot end at z1^(2J)
