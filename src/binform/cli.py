@@ -336,13 +336,14 @@ _MAX_TABLEAUX = 10_000
 # Caps on `sym mult` and `sym projmat`, timed per command with start-up on
 # 2 shared cores with Python 3.11.  `mult` sums characters over every
 # partition of d: three distinct near-staircase shapes of 29 boxes take
-# 0.7-0.9 s, of 30 boxes 1.2-1.3 s.  `projmat` builds a matrix for every
-# transposition of d and works in the tensor space of dimension
-# dim(l) * dim(m).  At the caps (5,5) x (1^10) -> (2^5), product 42, takes
-# 1.2-1.4 s and (1^22) x (21,1) -> (2,1^20) 1.6-1.8 s; past them
-# (4,2,2) x (1^8) -> (3,3,1,1), product 56, takes 1.4-1.6 s,
-# (28,1) x (29) -> (28,1) 4.2-4.3 s and (9,1) x (8,2) -> (7,2,1), product
-# 315, about 24 s.
+# 0.7-0.9 s, of 30 boxes 1.2-1.3 s.  `projmat` builds d + 1 matrices per
+# module and works in the tensor space of dimension dim(l) * dim(m).  At the
+# caps (5,5) x (1^10) -> (2^5), product 42, takes 0.3-0.5 s and
+# (1^22) x (21,1) -> (2,1^20) 0.3-0.4 s.  Past them, with the caps lifted,
+# (5,3) x (5,3) -> (7,1), product 784, takes 0.3 s, (4,2,2) x (1^8) ->
+# (3,3,1,1), product 56, 0.5 s, (28,1) x (29) -> (28,1) 0.5 s,
+# (9,1) x (5,5) -> (6,4), product 378, 2.3-2.6 s and (9,1) x (8,2) ->
+# (7,2,1), product 315, 5.4-5.5 s: the product does not track the cost.
 _MAX_MULT_BOXES = 29
 _MAX_PROJMAT_BOXES = 22
 _MAX_PROJMAT_DIMS = 42

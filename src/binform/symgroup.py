@@ -24,7 +24,10 @@ values (see _ColumnSpan).
 One action applies a representation to a vector: _tensor_apply, of
 Q_l(g) x Q_m(g), with a single module V_n taken as V_n x V_(d) for the
 trivial V_(d).  The Jucys-Murphy eigenvectors, the transport and the
-equivariance check of a coupling all go through it.  Each degree's relation
+equivariance check of a coupling all go through it.  The Jucys-Murphy
+elements act through adjacent transpositions alone (X_k = s X_(k-1) s + s,
+s = (k-1 k)), so package code asks a degree-d module for d + 1 matrices:
+those d - 1, the long cycle and its inverse.  Each degree's relation
 system is built once, from the raw couplings (_pointwise_rows); at d = 5
 the anchoring and basis signs enter as one factor per coupling, which
 rescales the system's four columns.
@@ -38,17 +41,18 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .polycore import _oldest_half, _primitive
+from .polycore import _primitive
 
 Shape = Tuple[int, ...]
 Perm = Tuple[int, ...]  # perm[k] = image of k + 1, entries 1..d
 
 # Cache bounds, above what `verify --suite all`, the sym-relations benchmark
-# and the d = 8 relation hold (44 modules, 30 matrices per module, 15
-# couplings, 163 characters).  `sym mult` at its cap evicts characters and
-# was timed with this bound.
+# and the d = 8 relation hold (44 modules, 15 couplings, 163 characters).
+# `sym mult` at its cap evicts characters and was timed with this bound.  A
+# module's matrix memo needs no bound: package code asks a degree-d module
+# for d + 1 matrices, the adjacent transpositions, the long cycle and its
+# inverse.
 _MAX_MODULES = 128
-_MAX_MATRICES = 256
 _MAX_COUPLINGS = 64
 _MAX_CHARACTERS = 1 << 16
 
@@ -99,12 +103,6 @@ def hook_dimension(shape: Iterable[int]) -> int:
 
 def identity_perm(d: int) -> Perm:
     return tuple(range(1, d + 1))
-
-
-def transposition_perm(d: int) -> Perm:
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return (2, 1) + tuple(range(3, d + 1))
 
 
 def cycle_perm(d: int) -> Perm:
@@ -337,9 +335,6 @@ class _ColumnSpan:
         q_inv = q if inv == perm else self._image(inv)
         if _mat_mul(q, q_inv) != _identity_matrix(self.dim):
             raise ArithmeticError("matrices of a permutation and its inverse are not inverse")
-        while self._matrices and len(self._matrices) >= _MAX_MATRICES - 1:
-            for old in _oldest_half(self._matrices):
-                del self._matrices[old]
         self._matrices[perm] = q
         self._matrices[inv] = q_inv
         return q
@@ -362,12 +357,11 @@ def generator_matrices(shape: Iterable[int]) -> Tuple[RepMatrix, RepMatrix]:
     (involution, cycle order, braid product) verified on construction."""
     sh = check_shape(shape)
     d = sum(sh)
+    mod = _module(sh)
     if d < 2:
-        mod = _module(sh)
         one = mod.matrix(identity_perm(d))
         return (RepMatrix(sh, "s", one), RepMatrix(sh, "c", one))
-    mod = _module(sh)
-    s, c = transposition_perm(d), cycle_perm(d)
+    s, c = swap_perm(1, 2, d), cycle_perm(d)
     qs, qc = mod.matrix(s), mod.matrix(c)
     ident = _identity_matrix(mod.dim)
     if _mat_mul(qs, qs) != ident:
@@ -383,8 +377,6 @@ def generator_matrices(shape: Iterable[int]) -> Tuple[RepMatrix, RepMatrix]:
         power = _mat_mul(power, braid)
     if power != ident:
         raise ArithmeticError("braid product has wrong order")
-    if _mat_mul(qc, mod.matrix(inverse_perm(c))) != ident:
-        raise ArithmeticError("cycle inverse mismatch")
     return (RepMatrix(sh, "s", qs), RepMatrix(sh, "c", qc))
 
 
@@ -477,11 +469,14 @@ def _tensor_apply(lmod: _ColumnSpan, mmod: _ColumnSpan, g: Perm,
 
 
 def _jm_action(lmod: _ColumnSpan, mmod: _ColumnSpan, k: int, vec: Sequence[int]) -> List[int]:
-    """The Jucys-Murphy element X_k = (1 k) + ... + (k-1 k) applied to vec."""
-    out = [0] * len(vec)
-    for i in range(1, k):
-        out = list(map(add, out, _tensor_apply(lmod, mmod, swap_perm(i, k, lmod.d), vec)))
-    return out
+    """The Jucys-Murphy element X_k = (1 k) + ... + (k-1 k) applied to vec,
+    through X_k = s X_(k-1) s + s with s = (k-1 k) and X_1 = 0, so that only
+    adjacent transpositions act."""
+    if k == 1:
+        return [0] * len(vec)
+    s = swap_perm(k - 1, k, lmod.d)
+    sv = _tensor_apply(lmod, mmod, s, vec)
+    return list(map(add, _tensor_apply(lmod, mmod, s, _jm_action(lmod, mmod, k - 1, sv)), sv))
 
 
 def _eigenvector(lmod: _ColumnSpan, mmod: _ColumnSpan,
@@ -514,7 +509,7 @@ def _eigenvector(lmod: _ColumnSpan, mmod: _ColumnSpan,
 
 def _generators(d: int) -> Tuple[Perm, ...]:
     # (1 2) and the long cycle generate S_d; the trivial S_1 needs none
-    return (transposition_perm(d), cycle_perm(d)) if d > 1 else ()
+    return (swap_perm(1, 2, d), cycle_perm(d)) if d > 1 else ()
 
 
 def _coupling_verify(M: Matrix, lmod, mmod, nmod) -> None:
@@ -619,7 +614,9 @@ _S5_BASIS_SIGNS = ((1, -1, 1, 1), (1, 1, 1, 1, 1))
 FiveMaps = Tuple[Sequence[Sequence], ...]
 
 
-# the degrees test_conjecture accepts; degree 9 runs but takes about 20-30 s
+# the degrees test_conjecture accepts; the internals run past them (the
+# degree-9 kernel of _pointwise_rows took 0.4-0.6 s, degree 10 about 0.8 s,
+# on 2 shared cores with Python 3.11)
 RELATION_DEGREES = (5, 6, 7, 8)
 
 

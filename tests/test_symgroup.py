@@ -27,6 +27,7 @@ from binform.symgroup import (
     _module,
     _relation_system,
     _residual_vanishes,
+    _tensor_apply,
     character,
     check_shape,
     class_size,
@@ -40,7 +41,6 @@ from binform.symgroup import (
     projection_matrix,
     standard_tableaux,
     swap_perm,
-    transposition_perm,
     verify_s5_syzygy,
 )
 from binform.symgroup import test_conjecture as conjecture_check
@@ -244,18 +244,20 @@ class TestGeneratorMatrices:
         with pytest.raises(ValueError, match="does not match"):
             _module((3, 1)).matrix((1, 2, 3))
 
-    @pytest.mark.parametrize("bound", (2, 3, 7))
-    def test_matrix_memo_over_its_bound(self, monkeypatch, bound):
-        # every permutation of S_5, twice over: the memo drops its oldest
-        # half when full, never holds more than the bound, and what it
-        # returns matches a module that has evicted nothing
-        monkeypatch.setattr(symgroup, "_MAX_MATRICES", bound)
-        mod = symgroup._ColumnSpan((3, 1, 1))
-        perms = list(permutations(range(1, 6)))
-        for perm in perms + perms[::-1]:
-            got = mod.matrix(perm)
-            assert len(mod._matrices) <= bound
-            assert got == symgroup._ColumnSpan((3, 1, 1)).matrix(perm), perm
+    def test_coupling_holds_d_plus_one_matrices_per_module(self):
+        # from cold caches, a coupling leaves each module with at most the
+        # d - 1 adjacent transpositions, the long cycle and its inverse
+        trip = ((5, 3), (5, 3), (7, 1))
+        d = 8
+        allowed = {swap_perm(k - 1, k, d) for k in range(2, d + 1)}
+        allowed |= {cycle_perm(d), inverse_perm(cycle_perm(d))}
+        _module.cache_clear()
+        _coupling.cache_clear()
+        projection_matrix(*trip)
+        for sh in set(trip) | {(d,)}:
+            held = set(_module(sh)._matrices)
+            assert held <= allowed, sh
+            assert len(held) <= d + 1
 
     @pytest.mark.parametrize("owner, attr, broken, message", [
         (symgroup, "_polytabloid_value",
@@ -344,7 +346,7 @@ def _nullspace_coupling(lam, mu, nu):
     dl, dm, dn = lmod.dim, mmod.dim, nmod.dim
     nunk = dl * dm * dn
     rows = []
-    for g in (transposition_perm(d), cycle_perm(d)):
+    for g in (swap_perm(1, 2, d), cycle_perm(d)):
         ql, qm, qn = lmod.matrix(g), mmod.matrix(g), nmod.matrix(g)
         for il in range(dl):
             for im in range(dm):
@@ -371,6 +373,32 @@ def _nullspace_coupling(lam, mu, nu):
     if first < 0:
         ints = [-v for v in ints]
     return tuple(tuple(ints[p * dn + k] for k in range(dn)) for p in range(dl * dm))
+
+
+def _jm_sum(lmod, mmod, k, vec):
+    """Oracle for _jm_action: X_k as the sum of its k - 1 transpositions
+    (1 k), ..., (k-1 k), each applied as its own tensor action."""
+    out = [0] * len(vec)
+    for i in range(1, k):
+        image = _tensor_apply(lmod, mmod, swap_perm(i, k, lmod.d), vec)
+        out = [a + b for a, b in zip(out, image)]
+    return out
+
+
+def _relation_module_pairs(d):
+    """The (first, second) module pairs whose tensor action the degree-d
+    relation couplings use: source pairs, and each target with the trivial
+    module."""
+    std, two, triv = (d - 1, 1), (d - 2, 2), (d,)
+    pairs = set()
+    for lam, mu, nu in ((std, std, std), (std, std, two), (std, std, triv),
+                        (std, two, std), (two, two, std)):
+        pairs |= {(lam, mu), (nu, triv)}
+    return sorted(pairs)
+
+
+_JM_PAIRS = [pair for d in (5, 6, 7) for pair in _relation_module_pairs(d)] + \
+    [((7, 2), (8, 1))]
 
 
 _entries = st.one_of(st.integers(min_value=-4, max_value=4),
@@ -558,6 +586,18 @@ class TestProjectionMatrix:
                 assert any(v)
                 for k in range(2, d + 1):
                     assert _jm_action(lmod, mmod, k, v) == [content[k] * x for x in v]
+
+    @pytest.mark.parametrize("lam, mu", _JM_PAIRS,
+                             ids=[f"{lam}x{mu}".replace(" ", "") for lam, mu in _JM_PAIRS])
+    def test_jm_action_matches_the_transposition_sum(self, lam, mu):
+        lmod, mmod = _module(lam), _module(mu)
+        n = lmod.dim * mmod.dim
+        rng = seeding.stream(73, f"jm {lam} {mu}")
+        vecs = [[int(i == j) for i in range(n)] for j in (0, n - 1)]
+        vecs += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+        for vec in vecs:
+            for k in range(1, lmod.d + 1):
+                assert _jm_action(lmod, mmod, k, vec) == _jm_sum(lmod, mmod, k, vec), k
 
     def test_matches_dense_nullspace_solver(self):
         for trip in [((3, 1), (2, 2), (2, 1, 1)),
