@@ -215,9 +215,10 @@ def check_ninej_routes(seed: int, trials: int) -> CheckOutcome:
     for k in range(200):
         tw = _random_array(rng, 12, triads, tset, by_pair)
         arr = NineJArray._of_twice(tw)
-        if ninej_operator(arr) != ninej_triple_sum(arr):
+        v = ninej_triple_sum(arr)
+        if ninej_operator(arr) != v:
             return False, "routes agree, symmetry holds", f"route mismatch at {tw}"
-        if not ninej_symmetry_check(arr):
+        if not ninej_symmetry_check(arr, v):
             return False, "routes agree, symmetry holds", f"symmetry broken at {tw}"
     return (True, "routes agree, symmetry holds",
             f"{len(small)} exhaustive + 200 random arrays")

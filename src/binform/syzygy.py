@@ -10,15 +10,16 @@ from the first two.
 The coefficients kappa come by three routes.  kappa is a closed triple
 sum.  kappa_oracle is the wigner module's operator 9-j chain run on the
 kappa array, times the scale K.  wigner.kappa_via_ninej goes through the
-9-j triple sum.  The three share no code, so the checks compare them.
+9-j triple sum.  kappa and the 9-j triple sum share one evaluator,
+wigner._triple_sum, and derive their shifts separately; the operator chain
+shares neither, so the checks compare all three.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, lcm
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import seeding
@@ -31,7 +32,7 @@ from .transvectant import (
     random_binary_form,
     transvect,
 )
-from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain
+from .wigner import _check_admissible, _kappa_scale, _kappa_twice_rows, _ninej_chain, _triple_sum
 
 LatticePoint = Tuple[int, int]
 
@@ -68,55 +69,18 @@ def kappa(m: int, n: int, r: int, i: int, j: int, p: LatticePoint) -> Fraction:
         * f(m + n - r + i - j) * f(m + n - r - i + j)
         * f(2 * m + 2 * n - r - i - j + 1) * f(2 * m - 4 * a - 2) * f(2 * n - 4 * b - 2)
     )
-    # The sum runs over the box x <= X, y <= Y, z <= Z.  Every bound that
-    # couples two indices is a zero of 1/(cxz+x+z)! or 1/(cxy+x+y)!, carried
-    # by the zero-extended lists B[k] = 1/(cxz+k)! and C[k] = 1/(cxy+k)!;
-    # and cyz >= Y + Z, so A[k] = (cyz-k)! cuts nothing.  The corner
-    # (X, Y, Z) always has a term: admissibility makes cxz + X + Z and
-    # cxy + X + Y >= 0.  Over one common denominator, each denominator
-    # factorial at its largest argument M over the box, a denominator
-    # factorial arg! is the int perm(M, M - arg) = M!/arg!.  The x-, y- and
-    # z-only factors, sign included, are lists with leading zeros below the
-    # least index that has a term.
-    cyz, cxz, cxy = n - i + 2 * a + 1, m - r + i, -n + r - 2 * a - 1
-    X = min(n - 2 * b - 1, n - j)
-    Y = min(2 * a + 1, 2 * n - r + 2 * a - 2 * b)
-    Z = min(n - i, r - i - j)
-    exz, exy = cxz + X + Z, cxy + X + Y
-    x_lo, y_lo, z_lo = max(0, -cxy - Y, -cxz - Z), max(0, -cxy - X), max(0, -cxz - X)
-    # the largest arguments of (n-j-x)!, (n-2b-1-x)!; (2a+1-y)!, (2m-4a-1+y)!,
-    # (2n-r+2a-2b-y)!; (n-i-z)!, (r-i-j-z)!, (m+n-i+1-z)! over the box
-    xa, xb = n - j - x_lo, n - 2 * b - 1 - x_lo
-    ya, yb, yc = 2 * a + 1 - y_lo, 2 * m - 4 * a - 1 + Y, 2 * n - r + 2 * a - 2 * b - y_lo
-    za, zb, zc = n - i - z_lo, r - i - j - z_lo, m + n - i + 1 - z_lo
-    den = n2
-    for top in (X, xa, xb, Y, ya, yb, yc, Z, za, zb, zc, exz, exy):
-        den *= f(top)
-    wx = [0] * x_lo + [(-1 if x & 1 else 1) * f(n - x) * f(m - j + x) * f(n - 2 * b - 1 + x)
-                       * perm(X, X - x) * perm(xa, x - x_lo) * perm(xb, x - x_lo)
-                       for x in range(x_lo, X + 1)]
-    wy = [0] * y_lo + [(-1 if y & 1 else 1) * f(m - 2 * a - 1 + y) * f(r - 2 * a - 2 * b - 2 + y)
-                       * perm(Y, Y - y) * perm(ya, y - y_lo) * perm(yb, Y - y)
-                       * perm(yc, y - y_lo)
-                       for y in range(y_lo, Y + 1)]
-    wz = [0] * z_lo + [(-1 if z & 1 else 1) * f(m + n - 2 * i - z) * f(m + n - r + i - j + z)
-                       * perm(Z, Z - z) * perm(za, z - z_lo) * perm(zb, z - z_lo)
-                       * perm(zc, z - z_lo)
-                       for z in range(z_lo, Z + 1)]
-    A = [f(cyz - k) for k in range(Y + Z + 1)]
-    b_lo, c_lo = max(0, -cxz), max(0, -cxy)
-    B = [0] * b_lo + [perm(exz, exz - cxz - k) for k in range(b_lo, X + Z + 1)]
-    C = [0] * c_lo + [perm(exy, exy - cxy - k) for k in range(c_lo, X + Y + 1)]
-    total = 0
-    for x in range(x_lo, X + 1):
-        row = list(map(operator.mul, wz, B[x:]))
-        inner = 0
-        for y in range(max(0, -cxy - x), Y + 1):  # the first y with C[x + y] != 0
-            inner += wy[y] * C[x + y] * sum(map(operator.mul, row, A[y:]))
-        total += wx[x] * inner
+    # the 9-j triple sum at the kappa array's shifts, derived here apart from
+    # wigner._triple_sum_params; p1 = n-i+2a+1 >= Y + Z, and admissibility
+    # puts a term at the box's corner
+    total, den = _triple_sum(
+        (n, m - j, n - 2 * b - 1, n - j, n - 2 * b - 1),
+        (m - 2 * a - 1, r - 2 * a - 2 * b - 2, 2 * m - 4 * a - 1, 2 * a + 1,
+         2 * n - r + 2 * a - 2 * b),
+        (m + n - 2 * i, m + n - r + i - j, m + n - i + 1, n - i, r - i - j),
+        (n - i + 2 * a + 1, -n + r - 2 * a - 1, m - r + i))
     if (n - j) % 2:
         total = -total
-    return Fraction(n1 * total, den)
+    return Fraction(n1 * total, n2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ into two and multiplies by their bracket, a merge contracts two pairs by an
 omega power into a third.  The coupling coefficient (hence the 3-j symbol)
 is one split, the 6-j symbol two splits and two merges, the 9-j symbol
 three of each.  The syzygy module's kappa_oracle is the 9-j chain of the
-kappa array times K.  The operator chain, the 9-j triple sum and the
-syzygy module's kappa triple sum share no code; kappa_via_ninej reaches
-kappa through the triple sum.
+kappa array times K.  The 9-j triple sum and the syzygy module's kappa
+share one evaluator, _triple_sum, and derive their shifts separately; the
+operator chain shares neither.  kappa_via_ninej reaches kappa through the
+9-j triple sum.
 
 Square roots only ever arise from ratios of factorials, so surds are
 assembled from prime exponents via Legendre's formula; nothing ever
@@ -78,6 +79,11 @@ def _twice(value: HalfIntLike) -> int:
     if twice < 0:
         raise ValueError(f"not a nonnegative half-integer: {twice}/2")
     return twice
+
+
+def _halves(*twice: int) -> List[int]:
+    """The integers whose twice-values are `twice`."""
+    return [t // 2 for t in twice]
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +469,10 @@ def sixj(js: Sequence[HalfIntLike]) -> QuadraticSurd:
     t = _merge(t, w, "u", "v", "x", j1, j2, j12)
     alpha = _chain_scalar(_merge(t, w, "x", "w", "z", j12, j3, J), w, J)
 
-    h = lambda *v: [x // 2 for x in v]  # noqa: E731  twice-values to integers
-    p1 = h(j1 + j12 - j2, j2 + j12 - j1, j12 + J - j3, j3 + J - j12)
-    p2 = h(j1 + j23 - J, j1 + J - j23, j23 + J - j1, j2 + j3 - j23,
-           j2 + j23 - j3, j3 + j23 - j2, j1 + j2 - j12, j12 + j3 - J)
-    p3 = h(j1 + j2 + j12 + 2, j2 + j3 + j23 + 2, j1 + j23 + J + 2, j12 + j3 + J + 2)
+    p1 = _halves(j1 + j12 - j2, j2 + j12 - j1, j12 + J - j3, j3 + J - j12)
+    p2 = _halves(j1 + j23 - J, j1 + J - j23, j23 + J - j1, j2 + j3 - j23,
+                 j2 + j23 - j3, j3 + j23 - j2, j1 + j2 - j12, j12 + j3 - J)
+    p3 = _halves(j1 + j2 + j12 + 2, j2 + j3 + j23 + 2, j1 + j23 + J + 2, j12 + j3 + J + 2)
     sgn = -1 if ((j1 + j2 + j3 + J) // 2) % 2 else 1
     return sqrt_factorial_ratio(p1, p2 + p3, sgn * (J + 1) * alpha)
 
@@ -546,14 +551,13 @@ class NineJArray:
 
 def _ninej_q_lists(tw: Sequence[Sequence[int]]) -> Tuple[List[int], List[int], List[int]]:
     (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-    h = lambda *v: [x // 2 for x in v]  # noqa: E731
-    q1 = h(j1 + j12 - j2, j2 + j12 - j1, j3 + j34 - j4,
-           j4 + j34 - j3, j12 + J - j34, j34 + J - j12)
-    q2 = h(j1 + j2 + j12 + 2, j3 + j4 + j34 + 2, j13 + j24 + J + 2,
-           j1 + j3 + j13 + 2, j2 + j4 + j24 + 2, j12 + j34 + J + 2)
-    q3 = h(j1 + j2 - j12, j3 + j4 - j34, j13 + j24 - J, j13 + J - j24,
-           j24 + J - j13, j1 + j3 - j13, j1 + j13 - j3, j3 + j13 - j1,
-           j2 + j4 - j24, j2 + j24 - j4, j4 + j24 - j2, j12 + j34 - J)
+    q1 = _halves(j1 + j12 - j2, j2 + j12 - j1, j3 + j34 - j4,
+                 j4 + j34 - j3, j12 + J - j34, j34 + J - j12)
+    q2 = _halves(j1 + j2 + j12 + 2, j3 + j4 + j34 + 2, j13 + j24 + J + 2,
+                 j1 + j3 + j13 + 2, j2 + j4 + j24 + 2, j12 + j34 + J + 2)
+    q3 = _halves(j1 + j2 - j12, j3 + j4 - j34, j13 + j24 - J, j13 + J - j24,
+                 j24 + J - j13, j1 + j3 - j13, j1 + j13 - j3, j3 + j13 - j1,
+                 j2 + j4 - j24, j2 + j24 - j4, j4 + j24 - j2, j12 + j34 - J)
     return q1, q2, q3
 
 
@@ -603,21 +607,26 @@ def _triple_sum_params(tw: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ..
     return (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3)
 
 
-def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
-    """9-j symbol via the three-index summation formula."""
-    tw = arr.twice_rows()
-    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
-    (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), (z1, z2, z3, z4, z5), (p1, p2, p3) = \
-        _triple_sum_params(tw)
+def _triple_sum(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
+                ps: Sequence[int]) -> Tuple[int, int]:
+    """(total, den) with total/den the sum over x, y, z of (-1)^(x+y+z) times
+    (x1-x)! (x2+x)! (x3+x)! / (x! (x4-x)! (x5-x)!)
+    * (y1+y)! (y2+y)! / (y! (y3+y)! (y4-y)! (y5-y)!)
+    * (z1-z)! (z2+z)! / (z! (z3-z)! (z4-z)! (z5-z)!)
+    * (p1-y-z)! / ((p2+x+y)! (p3+x+z)!).
 
-    # Each term is (-1)^(x+y+z) num/den with num and den products of
-    # factorials.  The sum runs over the box x <= X, y <= Y, z <= Z.  Every
-    # bound of the lattice that couples two indices is a zero of
-    # 1/(p2+x+y)! or 1/(p3+x+z)!, carried by the zero-extended lists
-    # B[k] = 1/(p3+k)! and C[k] = 1/(p2+k)!; and p1 = y5 + z4 >= Y + Z, so
-    # A[k] = (p1-k)! cuts nothing.  The corner (X, Y, Z) always has a term:
-    # by the triangle rules p2 + X + Y and p3 + X + Z are >= 0.  Over one
-    # common denominator, the 13 denominator factorials each at its largest
+    With X, Y, Z = min(x4, x5), min(y4, y5), min(z4, z5), the caller
+    guarantees p1 >= Y + Z and a term at the corner (X, Y, Z):
+    p2 + X + Y >= 0 and p3 + X + Z >= 0."""
+    x1, x2, x3, x4, x5 = xs
+    y1, y2, y3, y4, y5 = ys
+    z1, z2, z3, z4, z5 = zs
+    p1, p2, p3 = ps
+    # The sum runs over the box x <= X, y <= Y, z <= Z.  Every bound of the
+    # lattice that couples two indices is a zero of 1/(p2+x+y)! or
+    # 1/(p3+x+z)!, carried by the zero-extended lists B[k] = 1/(p3+k)! and
+    # C[k] = 1/(p2+k)!; and A[k] = (p1-k)! cuts nothing.  Over one common
+    # denominator, the 13 denominator factorials each at its largest
     # argument M over the box, a denominator factorial arg! becomes the int
     # M!/arg! = perm(M, M - arg).  The factors in x, y or z alone are lists
     # with leading zeros below the least index that has a term.
@@ -651,20 +660,29 @@ def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
         for y in range(max(0, -p2 - x), Y + 1):  # the first y with C[x + y] != 0
             inner += wy[y] * C[x + y] * sum(map(mul, row, A[y:]))
         total += wx[x] * inner
+    return total, den
+
+
+def ninej_triple_sum(arr: NineJArray) -> QuadraticSurd:
+    """9-j symbol via the three-index summation formula."""
+    tw = arr.twice_rows()
+    (j1, j2, j12), (j3, j4, j34), (j13, j24, J) = tw
+    # p1 = y5 + z4, and the triangle rules put a term at the box's corner
+    xs, ys, zs, ps = _triple_sum_params(tw)
+    total, den = _triple_sum(xs, ys, zs, ps)
 
     # the brackets [a,b,c] = sqrt((a-b+c)!(a+b-c)!(a+b+c+1)!/(-a+b+c)!) of
     # (j3,j1,j13), (j2,j4,j24), (J,j13,j24) over those of (j3,j4,j34),
     # (j2,j1,j12), (J,j12,j34); args twice-values
-    h = lambda *v: [t // 2 for t in v]  # noqa: E731
-    nums = h(j3 - j1 + j13, j3 + j1 - j13, j3 + j1 + j13 + 2,
-             j2 - j4 + j24, j2 + j4 - j24, j2 + j4 + j24 + 2,
-             J - j13 + j24, J + j13 - j24, J + j13 + j24 + 2,
-             -j3 + j4 + j34, -j2 + j1 + j12, -J + j12 + j34)
-    dens = h(-j3 + j1 + j13, -j2 + j4 + j24, -J + j13 + j24,
-             j3 - j4 + j34, j3 + j4 - j34, j3 + j4 + j34 + 2,
-             j2 - j1 + j12, j2 + j1 - j12, j2 + j1 + j12 + 2,
-             J - j12 + j34, J + j12 - j34, J + j12 + j34 + 2)
-    sgn = -1 if x5 % 2 else 1
+    nums = _halves(j3 - j1 + j13, j3 + j1 - j13, j3 + j1 + j13 + 2,
+                   j2 - j4 + j24, j2 + j4 - j24, j2 + j4 + j24 + 2,
+                   J - j13 + j24, J + j13 - j24, J + j13 + j24 + 2,
+                   -j3 + j4 + j34, -j2 + j1 + j12, -J + j12 + j34)
+    dens = _halves(-j3 + j1 + j13, -j2 + j4 + j24, -J + j13 + j24,
+                   j3 - j4 + j34, j3 + j4 - j34, j3 + j4 + j34 + 2,
+                   j2 - j1 + j12, j2 + j1 - j12, j2 + j1 + j12 + 2,
+                   J - j12 + j34, J + j12 - j34, J + j12 + j34 + 2)
+    sgn = -1 if xs[4] % 2 else 1
     return sqrt_factorial_ratio(nums, dens, sgn * total, den)
 
 
@@ -673,7 +691,7 @@ def ninej_support_size(arr: NineJArray) -> int:
     (_, _, _, x4, x5), (_, _, _, y4, y5), (_, _, _, z4, z5), (_, p2, p3) = \
         _triple_sum_params(arr.twice_rows())
     # the terms at one x fill a y-range times a z-range, cut below by
-    # p2 + x + y >= 0 and p3 + x + z >= 0 (see ninej_triple_sum)
+    # p2 + x + y >= 0 and p3 + x + z >= 0 (see _triple_sum)
     Y, Z = min(y4, y5), min(z4, z5)
     return sum(max(0, Y + 1 - max(0, -p2 - x)) * max(0, Z + 1 - max(0, -p3 - x))
                for x in range(min(x4, x5) + 1))

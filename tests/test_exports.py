@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT_ORACLES = {
     # the MultiForm reference layer that project_pi and section_iota are
     # checked against; bench/tracing.py also resolves omega_power by name
-    "evaluate", "polarize", "substitute_pair", "bracket_power", "omega_power",
+    "evaluate", "polarize", "substitute_pair", "omega_power",
     # the derivative-sum route the benchmark checks transvect against
     "transvect_derivative",
     # the paper's closed formulas

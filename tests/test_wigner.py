@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binform import checks, polycore, wigner
+from binform import checks, polycore, syzygy, wigner
 from binform.syzygy import kappa, kappa_oracle, pi_set
 from binform.wigner import (
     HalfInt,
@@ -737,6 +737,24 @@ class TestPackedChainKeys:
         assert not ok and actual.startswith("route mismatch")
         ok, _, actual = checks.check_kappa_triple_route(42, 5)
         assert not ok and actual.startswith("disagreement")
+
+    def test_corrupted_triple_sum_fails_the_checks(self, monkeypatch):
+        # kappa and the 9-j triple sum share one evaluator, so a fault in it
+        # moves both alike; only the operator route in each check sees it
+        triple_sum = wigner._triple_sum
+
+        def off_by_one(*shifts):
+            total, den = triple_sum(*shifts)
+            return total + den, den
+
+        monkeypatch.setattr(wigner, "_triple_sum", off_by_one)
+        monkeypatch.setattr(syzygy, "_triple_sum", off_by_one)
+        ok, _, actual = checks.check_ninej_routes(42, 5)
+        assert not ok and actual.startswith("route mismatch")
+        ok, _, actual = checks.check_kappa_triple_route(42, 5)
+        assert not ok and actual.startswith("disagreement")
+        direct, oracle, via_ninej = actual.rsplit(": ", 1)[1].split(", ")
+        assert direct == via_ninej != oracle
 
     def test_broken_symmetry_law_is_reported(self, monkeypatch):
         # both routes agree on a wrong value, so only the symmetry laws on
