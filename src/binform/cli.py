@@ -107,9 +107,12 @@ def _emit(payload: dict, pretty_lines: Sequence[str], fmt: str, out: Optional[st
         for line in pretty_lines:
             print(line)
     if out:
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"--out: {exc}") from None
 
 
 def _parse_rationals(text: str, flag: str) -> list:

@@ -27,10 +27,11 @@ trivial V_(d).  The Jucys-Murphy eigenvectors, the transport and the
 equivariance check of a coupling all go through it.  The Jucys-Murphy
 elements act through adjacent transpositions alone (X_k = s X_(k-1) s + s,
 s = (k-1 k)), so package code asks a degree-d module for d + 1 matrices:
-those d - 1, the long cycle and its inverse.  Each degree's relation
-system is built once, from the raw couplings (_pointwise_rows); at d = 5
-the anchoring and basis signs enter as one factor per coupling, which
-rescales the system's four columns.
+those d - 1, the long cycle and its inverse.  Each degree's relation rows
+are built once, from the raw couplings (_pointwise_rows); at d = 5 the
+anchoring and basis signs enter as one factor per coupling, which
+rescales the rows' four columns, and verify_s5_syzygy reports on top of
+test_conjecture(5) rather than solving the system again.
 """
 
 from bisect import bisect_left
@@ -363,9 +364,8 @@ def generator_matrices(shape: Iterable[int]) -> Tuple[RepMatrix, RepMatrix]:
         return (RepMatrix(sh, "s", one), RepMatrix(sh, "c", one))
     s, c = swap_perm(1, 2, d), cycle_perm(d)
     qs, qc = mod.matrix(s), mod.matrix(c)
+    # matrix() has checked qs qs = 1, (1 2) being its own inverse
     ident = _identity_matrix(mod.dim)
-    if _mat_mul(qs, qs) != ident:
-        raise ArithmeticError("transposition matrix is not an involution")
     power = ident
     for _ in range(d):
         power = _mat_mul(power, qc)
@@ -702,23 +702,6 @@ def _residual_vanishes(rows: Sequence[Tuple], coeffs: Sequence[int]) -> bool:
     return all(sum(c * v for c, v in zip(coeffs, row)) == 0 for row in rows)
 
 
-@lru_cache(maxsize=1)
-def _matched_s5_system() -> Tuple:
-    """The d=5 system in the anchored scaling, on the canonical bases
-    changed by the stated signs _S5_BASIS_SIGNS, from the one row build.
-
-    Returns (rows, tau, sigma, matched_scaling, raw_anchor_values,
-    raw_coefficients, anchored_coefficients)."""
-    raw, rows = _five_couplings(5), _pointwise_rows(5)
-    tau, sigma = _S5_BASIS_SIGNS
-    canonical = ((1,) * len(tau), (1,) * len(sigma))
-    scaling = "anchored+transition" if -1 in tau + sigma else "anchored"
-    return (_anchored_rows(rows, raw, (tau, sigma)), tau, sigma, scaling,
-            tuple(M[0][c] for M, (c, _) in zip(raw, _ANCHOR_SPECS)),
-            _kernel_coefficients(rows)[1],
-            _kernel_coefficients(_anchored_rows(rows, raw, canonical))[1])
-
-
 @dataclass(frozen=True)
 class S5Report:
     """Outcome of the degree-5 relation check."""
@@ -755,44 +738,42 @@ def verify_s5_syzygy() -> S5Report:
     """Check the degree-5 relation on all 16 basis pairs and report how its
     coefficients compare to (32, 100, 25, -180).
 
-    The couplings are taken in the basis the relation is stated in (the
+    The multiplicities, the kernel and the pass test are test_conjecture(5)'s,
+    on the couplings taken in the basis the relation is stated in (the
     canonical bases changed by the signs _S5_BASIS_SIGNS, reported as the
     transition) and rescaled to the fixed anchor coefficients
     (-3, 2, 2, -2, 2).  No convention is searched for, so a change of basis
     that moves the coefficients fails the check."""
-    coupling_mult = multiplicity((3, 2), (3, 2), (4, 1))
-    wedge_mult = multiplicity((3, 1, 1), (3, 1, 1), (4, 1))
+    rep = test_conjecture(5)
+    coeffs = rep.coefficients
+    rows = _relation_system(5)[0]
+    raw, raw_rows = _five_couplings(5), _pointwise_rows(5)
+    tau, sigma = _S5_BASIS_SIGNS
+    canonical = ((1,) * len(tau), (1,) * len(sigma))
     trivial_dim = _module((5,)).dim
-    rows, tau, sigma, scaling, raw_anchors, raw_coeffs, plain_coeffs = \
-        _matched_s5_system()
-    kdim, coeffs = _kernel_coefficients(rows)
     identity_exact = coeffs is not None and _residual_vanishes(rows, coeffs)
     perturbed = tuple(c + 1 if i == 0 else c for i, c in enumerate(
         coeffs or _RELATION_TARGET))
     perturbation_breaks = not _residual_vanishes(rows, perturbed)
-    scale = None
-    if coeffs is not None and coeffs[0] and _RELATION_TARGET[0]:
-        ratio = Fraction(coeffs[0], _RELATION_TARGET[0])
-        if all(Fraction(c) == ratio * t for c, t in zip(coeffs, _RELATION_TARGET)):
-            scale = ratio
-    passed = (coupling_mult == 1 and wedge_mult >= 1 and trivial_dim == 1
-              and kdim == 1 and scale is not None
-              and identity_exact and perturbation_breaks)
+    # both vectors are primitive with a positive first entry, so the only
+    # ratio between them is 1
+    scale = Fraction(1) if coeffs == _RELATION_TARGET else None
     return S5Report(
-        passed=passed,
+        passed=rep.passed and trivial_dim == 1 and identity_exact and perturbation_breaks,
         coefficients=coeffs,
-        matched_scaling=scaling,
+        matched_scaling=rep.scaling,
         scale=scale,
         transition=_describe_transition(tau, sigma),
         standard_signs=tau,
         two_row_signs=sigma,
-        raw_anchor_values=raw_anchors,
-        raw_coefficients=raw_coeffs,
-        anchored_coefficients=plain_coeffs,
-        kernel_dimension=kdim,
+        raw_anchor_values=tuple(M[0][c] for M, (c, _) in zip(raw, _ANCHOR_SPECS)),
+        raw_coefficients=_kernel_coefficients(raw_rows)[1],
+        anchored_coefficients=_kernel_coefficients(
+            _anchored_rows(raw_rows, raw, canonical))[1],
+        kernel_dimension=rep.kernel_dimension,
         basis_pairs=16,
-        coupling_multiplicity=coupling_mult,
-        wedge_multiplicity=wedge_mult,
+        coupling_multiplicity=rep.coupling_multiplicity,
+        wedge_multiplicity=rep.wedge_multiplicity,
         trivial_dimension=trivial_dim,
         identity_exact=identity_exact,
         perturbation_breaks=perturbation_breaks,
@@ -814,13 +795,14 @@ class ConjectureReport:
 
 def _relation_system(d: int) -> Tuple[Sequence[Tuple], str]:
     """(rows, scaling): the basis-pair residual rows of the degree-d
-    relation, in the anchored scaling of _matched_s5_system at d = 5 and in
-    the raw couplings otherwise."""
+    relation, at d = 5 with each coupling rescaled to its anchor in the
+    basis of _S5_BASIS_SIGNS, otherwise in the raw couplings."""
     if d not in RELATION_DEGREES:
         raise ValueError("degree must be 5, 6, 7, or 8")
     if d == 5:
-        rows, _, _, scaling, _, _, _ = _matched_s5_system()
-        return rows, scaling
+        signs = _S5_BASIS_SIGNS
+        scaling = "anchored+transition" if -1 in signs[0] + signs[1] else "anchored"
+        return _anchored_rows(_pointwise_rows(5), _five_couplings(5), signs), scaling
     return _pointwise_rows(d), "raw"
 
 

@@ -231,21 +231,6 @@ def _sieve(limit: int) -> List[int]:
     return [p for p in range(2, limit + 1) if flags[p]]
 
 
-# every prime up to _prime_limit; sieved again, to at least twice the limit,
-# only when a caller needs a larger prime
-_primes: List[int] = []
-_prime_limit = 1
-
-
-def _prime_list(limit: int) -> List[int]:
-    """The ascending primes, holding at least every prime <= limit."""
-    global _primes, _prime_limit
-    if limit > _prime_limit:
-        _prime_limit = max(limit, 2 * _prime_limit)
-        _primes = _sieve(_prime_limit)
-    return _primes
-
-
 def _legendre(n: int, p: int) -> int:
     total = 0
     pk = p
@@ -264,9 +249,10 @@ _FIELD_CODES = ((16, "H"), (32, "I"), (64, "Q"))  # field bits, struct code
 
 class _FactorialPacking:
     """Packed Legendre exponents of n! for n <= top, memoised, in fields
-    wide enough for a call of at most span arguments."""
+    wide enough for a call of at most span arguments; field k belongs to
+    primes[k], the k-th prime."""
 
-    __slots__ = ("top", "span", "field", "code", "memo")
+    __slots__ = ("top", "span", "field", "code", "primes", "memo")
 
     def __init__(self, top: int, span: int):
         self.top, self.span = top, span
@@ -275,12 +261,13 @@ class _FactorialPacking:
         if not fits:
             raise ValueError(f"factorial arguments up to {top}, {span} at a time, are too large")
         self.field, self.code = fits[0]
+        self.primes = _sieve(top)
         self.memo: dict = {}
 
     def packed(self, n: int) -> int:
         packed = self.memo.get(n)
         if packed is None:
-            primes = _prime_list(n)
+            primes = self.primes
             exps = [_legendre(n, p) for p in primes[:bisect_right(primes, n)]]
             packed = int.from_bytes(pack(f"<{len(exps)}{self.code}", *exps), "little")
             if len(self.memo) >= _MAX_PACKED:
@@ -315,6 +302,8 @@ def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int],
                          num: int = 1, den: int = 1) -> QuadraticSurd:
     """Exactly num/den * sqrt(prod(a! for a in numerators) / prod(b!)), for
     ints num and den > 0; a zero num gives zero without reading the rest."""
+    if den < 1:
+        raise ValueError(f"den must be positive, got {den}")
     if not num:
         return QuadraticSurd._of(0, 1, 1)
     pk = _packing
@@ -330,7 +319,7 @@ def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int],
     fields = unpack(f"<{count}{pk.code}", total.to_bytes(count * w // 8, "little", signed=True))
     sign, full = 1 << (w - 1), 1 << w
     borrow, rad = 0, 1
-    for p, e in zip(_primes, fields):
+    for p, e in zip(pk.primes, fields):
         e += borrow
         borrow = 1 if e >= sign else 0
         if borrow:

@@ -105,6 +105,13 @@ class TestVerifyCommand:
         a, b = (json.loads(p.read_text()) for p in paths)
         assert _strip_elapsed(a) == _strip_elapsed(b)
 
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        # a directory, and a file under a missing directory
+        for out in (tmp_path, tmp_path / "missing" / "report.json"):
+            argv = ["sym", "mult", "--l", "3,2", "--m", "3,2", "--n", "4,1", "--out", str(out)]
+            assert main(argv) == 2
+            assert "error: --out: " in capsys.readouterr().err
+
 
 class TestTransvect:
     def test_inline_coefficients(self):

@@ -706,15 +706,11 @@ class TestS5Relation:
         # the check must fail rather than look for signs that repair it
         canonical = ((1, 1, 1, 1), (1, 1, 1, 1, 1))
         monkeypatch.setattr(symgroup, "_S5_BASIS_SIGNS", canonical)
-        symgroup._matched_s5_system.cache_clear()
-        try:
-            rep = verify_s5_syzygy()
-            assert not rep.passed
-            assert rep.coefficients == (32, -100, 25, -180)
-            assert rep.transition is None
-            assert not conjecture_check(5).passed
-        finally:
-            symgroup._matched_s5_system.cache_clear()
+        rep = verify_s5_syzygy()
+        assert not rep.passed
+        assert rep.coefficients == (32, -100, 25, -180)
+        assert rep.transition is None
+        assert not conjecture_check(5).passed
 
 
 class TestConjecture:

@@ -929,6 +929,14 @@ class TestFactorialRatioPrimes:
         assert sqrt_factorial_ratio([5], [3], 6, 8) == QuadraticSurd(F(3, 2), 5)
         assert sqrt_factorial_ratio([-1], [], 0).is_zero()
 
+    def test_non_positive_den_is_refused(self):
+        # den = 0 gave "1/0 * sqrt(5)"; den = -2 a surd unequal to -sqrt(5)
+        for den in (0, -2):
+            with pytest.raises(ValueError, match="den must be positive"):
+                sqrt_factorial_ratio([5], [3], 1, den)
+        with pytest.raises(ValueError, match="den must be positive"):
+            sqrt_factorial_ratio([5], [3], 0, 0)
+
     def test_zero_and_one_factorials_stay_memoised(self, monkeypatch):
         # 0! and 1! pack to the int 0, which must count as a memo hit
         assert sqrt_factorial_ratio([0, 1, 3], [1, 0]) == sqrt_rational(F(6))
@@ -947,7 +955,8 @@ class TestFactorialRatioPrimes:
             assert len(wigner._packing.memo) <= 8
 
     def test_growing_and_shrinking_arguments(self):
-        # the shared prime list grows past each new top; smaller calls reuse it
+        # each wider packing sieves its own primes up to its top; smaller
+        # calls reuse them
         for nums, dens in (([3], [2]), ([1500], [1499, 7]), ([40, 30], [20]),
                            ([4001], [3999]), ([0, 1], [])):
             target = F(1)
