@@ -27,7 +27,7 @@ from .symgroup import (
     verify_s5_syzygy,
 )
 from .syzygy import closed_form_table, reconstruct, vartheta_table, verify_table
-from .transvectant import BinaryForm, transvect
+from .transvectant import BinaryForm, _check_exponent, transvect
 from .wigner import NineJArray, ninej_operator, ninej_triple_sum, sixj, threej
 
 
@@ -116,8 +116,11 @@ def _emit(payload: dict, pretty_lines: Sequence[str], fmt: str, out: Optional[st
 
 
 def _parse_rationals(text: str, flag: str) -> list:
+    tokens = text.replace(",", " ").split()
+    for tok in tokens:
+        _check_exponent(tok, flag)
     try:
-        return [Fraction(tok) for tok in text.replace(",", " ").split()]
+        return [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag} takes rationals such as 3 or -1/2, got {text!r}") from None
 

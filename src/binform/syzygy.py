@@ -40,12 +40,7 @@ LatticePoint = Tuple[int, int]
 def pi_set(m: int, n: int, r: int) -> List[LatticePoint]:
     """All lattice points (a, b) with 2(a+b+1) <= r, a then b ascending."""
     _check_admissible(m, n, r, 0, 0, 0, 0)
-    out = []
-    for a in range(r // 2):
-        for b in range(r // 2 - a):
-            if 2 * (a + b + 1) <= r:
-                out.append((a, b))
-    return out
+    return [(a, b) for a in range(r // 2) for b in range(r // 2 - a)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ argument.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
@@ -24,6 +25,7 @@ from typing import Sequence
 
 from .polycore import (
     MultiForm,
+    _check_pair,
     _from_primitive,
     _merge,
     _pack,
@@ -40,6 +42,25 @@ from .polycore import (
 )
 
 
+def _check_exponent(token, where: str) -> None:
+    """Refuse a string whose decimal exponent exceeds the int/str digit
+    limit in absolute value, before Fraction expands 10**exponent in time
+    that grows faster than the exponent; such a value has more digits than
+    Python converts to a string.  An exponent that int() refuses is left for
+    Fraction, which refuses it too."""
+    limit = sys.get_int_max_str_digits()  # 0 when the limit is switched off
+    if not (isinstance(token, str) and limit):
+        return
+    _, e, exponent = token.lower().partition("e")
+    try:
+        too_large = bool(e) and abs(int(exponent)) > limit
+    except ValueError:
+        return
+    if too_large:
+        raise ValueError(f"{where} takes decimal exponents up to {limit} in absolute value, "
+                         f"got {token!r}")
+
+
 @dataclass(frozen=True)
 class BinaryForm:
     """A binary form: homogeneous of a declared order in a single pair."""
@@ -49,6 +70,7 @@ class BinaryForm:
     form: MultiForm
 
     def __post_init__(self):
+        _check_pair(self.pair)
         if self.order < 0:
             raise ValueError("negative order")
         if self.form.is_zero():
@@ -110,6 +132,8 @@ class BinaryForm:
         for field, kind in (("coeffs", list), ("order", int), ("pair", str), ("convention", str)):
             if not isinstance(data.get(field), kind):
                 raise ValueError(f"serialized form needs a field {field!r} of type {kind.__name__}")
+        for c in data["coeffs"]:
+            _check_exponent(c, "serialized form field 'coeffs'")
         try:
             coeffs = [Fraction(c) for c in data["coeffs"]]
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):

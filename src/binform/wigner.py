@@ -16,24 +16,25 @@ operator chain shares neither.  kappa_via_ninej reaches kappa through the
 
 Square roots only ever arise from ratios of factorials, so surds are
 assembled from prime exponents via Legendre's formula; nothing ever
-factors a large integer.  Each factorial's exponents are packed into one
-int, so a ratio's exponents are one sum, and each route hands its rational
+factors a large integer.  The exponents of n! for n <= 64 are packed into
+one int each at import, so a ratio's exponents are one sum (larger calls
+sum Legendre's formula directly), and each route hands its rational
 prefactor to sqrt_factorial_ratio as two ints instead of building a
 Fraction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd, isqrt, perm
 from operator import mul
-from struct import pack, unpack
+from struct import unpack
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polycore import _key, _merge, _oldest_half, _split, _width
+from .polycore import _key, _merge, _split, _width
 from .transvectant import factor_h
 
 HalfIntLike = Union["HalfInt", int, str, Fraction]
@@ -207,17 +208,15 @@ def _lowest(num: int, den: int, rad: int) -> QuadraticSurd:
 # square roots of factorial ratios
 # ---------------------------------------------------------------------------
 #
-# The Legendre exponents of n! are packed into one int, as polycore packs a
-# monomial's exponents: the exponent of the k-th prime in a field of `field`
-# bits at bit k*field.  Packing is linear, so the exponents of a ratio of
-# factorials are one signed sum of ints.  Its two's-complement bytes are
-# unpacked once into unsigned fields, and a field at or above 2**(field - 1)
-# is negative and borrowed one from the next.  That read is exact while
-# every field of the sum stays below 2**(field - 1) in absolute value;
-# e_p(n!) < n <= top, so a call passing at most `span` arguments, each at
-# most `top`, keeps it there.  A call beyond either bound replaces the
-# packing, memo included, by a wider one.  Fields are 16, 32 or 64 bits, the
-# sizes `struct` unpacks.
+# The Legendre exponents of n! for n <= _TOP are packed into one int at
+# import, as polycore packs a monomial's exponents: the exponent of the k-th
+# prime in the 16-bit field at bit 16k.  Packing is linear, so the exponents
+# of a ratio of at most _SPAN such factorials are one signed sum, each field
+# within +-_SPAN * e_2(_TOP!) = +-2,016.  Adding 2**15 to every field up to
+# the highest nonzero one makes each field its exponent plus 2**15 with no
+# borrow between fields, and flipping bit 15 back leaves the exponent in
+# two's complement.  Any other call (an argument past the table, more
+# arguments, a generator) sums Legendre's formula directly.
 
 
 def _sieve(limit: int) -> List[int]:
@@ -240,90 +239,53 @@ def _legendre(n: int, p: int) -> int:
     return total
 
 
-# the memo holds at most this many factorials and drops its oldest half when
-# full, as polycore's memos do
-_MAX_PACKED = 1024
+_TOP, _SPAN = 64, 32  # the table's largest argument, and arguments per sum
+_PRIMES = _sieve(_TOP)
+_PACKED = {n: sum(_legendre(n, p) << 16 * k for k, p in enumerate(_PRIMES))
+           for n in range(_TOP + 1)}
+_BIASES = [sum(1 << 16 * k + 15 for k in range(count)) for count in range(len(_PRIMES) + 1)]
 
-_FIELD_CODES = ((16, "H"), (32, "I"), (64, "Q"))  # field bits, struct code
-
-
-class _FactorialPacking:
-    """Packed Legendre exponents of n! for n <= top, memoised, in fields
-    wide enough for a call of at most span arguments; field k belongs to
-    primes[k], the k-th prime."""
-
-    __slots__ = ("top", "span", "field", "code", "primes", "memo")
-
-    def __init__(self, top: int, span: int):
-        self.top, self.span = top, span
-        need = (span * top).bit_length() + 1
-        fits = [fc for fc in _FIELD_CODES if fc[0] >= need]
-        if not fits:
-            raise ValueError(f"factorial arguments up to {top}, {span} at a time, are too large")
-        self.field, self.code = fits[0]
-        self.primes = _sieve(top)
-        self.memo: dict = {}
-
-    def packed(self, n: int) -> int:
-        packed = self.memo.get(n)
-        if packed is None:
-            primes = self.primes
-            exps = [_legendre(n, p) for p in primes[:bisect_right(primes, n)]]
-            packed = int.from_bytes(pack(f"<{len(exps)}{self.code}", *exps), "little")
-            if len(self.memo) >= _MAX_PACKED:
-                for old in _oldest_half(self.memo):
-                    del self.memo[old]
-            self.memo[n] = packed
-        return packed
+# the direct path refuses larger arguments (sqrt(100000!) has 228,000 digits)
+_MAX_ARGUMENT = 10 ** 5
 
 
-_packing = _FactorialPacking(64, 32)
-
-
-def _grown(need: int, have: int) -> int:
-    return have if need <= have else max(need, 2 * have)
-
-
-def _packed_ratio(nums: List[int], dens: List[int]) -> Tuple[int, _FactorialPacking]:
-    """(the packed exponents of prod(a!)/prod(b!), their packing), after
-    widening the packing if the arguments need it."""
-    global _packing
-    for v in nums + dens:
-        if v < 0:
-            raise ValueError(f"negative factorial argument {v}")
-    pk = _packing
-    top, span = max(nums + dens, default=0), len(nums) + len(dens)
-    if top > pk.top or span > pk.span:
-        pk = _packing = _FactorialPacking(_grown(top, pk.top), _grown(span, pk.span))
-    return sum(map(pk.packed, nums)) - sum(map(pk.packed, dens)), pk
+def _direct_exponents(numerators: Iterable[int],
+                      denominators: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """(primes, exponents) of prod(a!)/prod(b!) by Legendre's formula."""
+    counts = Counter(numerators)
+    counts.subtract(denominators)
+    low, top = min(counts, default=0), max(counts, default=0)
+    if low < 0:
+        raise ValueError(f"negative factorial argument {low}")
+    if top > _MAX_ARGUMENT:
+        raise ValueError(f"factorial argument {top} is too large: the limit is {_MAX_ARGUMENT}")
+    primes = _sieve(top)
+    return primes, [sum(c * _legendre(a, p) for a, c in counts.items()) for p in primes]
 
 
 def sqrt_factorial_ratio(numerators: Iterable[int], denominators: Iterable[int],
                          num: int = 1, den: int = 1) -> QuadraticSurd:
     """Exactly num/den * sqrt(prod(a! for a in numerators) / prod(b!)), for
-    ints num and den > 0; a zero num gives zero without reading the rest."""
+    ints num and den > 0 and factorial arguments in 0.._MAX_ARGUMENT; a zero
+    num gives zero without reading the rest."""
     if den < 1:
         raise ValueError(f"den must be positive, got {den}")
     if not num:
         return QuadraticSurd._of(0, 1, 1)
-    pk = _packing
     try:
-        if len(numerators) + len(denominators) > pk.span:
-            raise KeyError  # more arguments than the fields hold: widen them
-        get = pk.memo.__getitem__
+        if len(numerators) + len(denominators) > _SPAN:
+            raise KeyError  # the fields are sized for _SPAN arguments
+        get = _PACKED.__getitem__
         total = sum(map(get, numerators)) - sum(map(get, denominators))
     except (KeyError, TypeError):
-        total, pk = _packed_ratio(list(numerators), list(denominators))
-    w = pk.field
-    count = total.bit_length() // w + 1  # up to the highest nonzero field, and its sign
-    fields = unpack(f"<{count}{pk.code}", total.to_bytes(count * w // 8, "little", signed=True))
-    sign, full = 1 << (w - 1), 1 << w
-    borrow, rad = 0, 1
-    for p, e in zip(pk.primes, fields):
-        e += borrow
-        borrow = 1 if e >= sign else 0
-        if borrow:
-            e -= full
+        primes, exps = _direct_exponents(numerators, denominators)
+    else:
+        count = total.bit_length() // 16 + 1  # up to the highest nonzero field
+        bias = _BIASES[count]
+        primes = _PRIMES
+        exps = unpack(f"<{count}h", ((total + bias) ^ bias).to_bytes(2 * count, "little"))
+    rad = 1
+    for p, e in zip(primes, exps):
         if e:
             if e & 1:
                 rad *= p

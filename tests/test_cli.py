@@ -325,6 +325,26 @@ class TestMainInProcess:
             assert main(argv) == 2
             assert flag in capsys.readouterr().err
 
+    def test_large_decimal_exponent_exit_two_naming_the_flag(self, capsys):
+        # Fraction expands 10**exponent first: 1e10000000 alone took seconds
+        def transvect(a, b):
+            return main(["transvect", "--m", "0", "--n", "0", "--r", "0", f"--A={a}", f"--B={b}"])
+
+        for a, b, named in (("1e5000", "1", "error: --A "), ("1", "-2E-5000", "error: --B "),
+                            ("1e100000000", "1", "error: --A "),
+                            ('{"coeffs": ["1e5000"], "order": 0}', "1", "error: --A: ")):
+            assert transvect(a, b) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(named) and "decimal exponents up to" in err
+        assert transvect("1e4000", "1") == 0
+        assert capsys.readouterr().out.strip().endswith("1" + "0" * 4000)
+
+    def test_zero_form_in_an_unknown_pair_exit_two(self, capsys):
+        # it printed a result in pair "k"; a nonzero form there exited 2
+        form = '{"pair": "k", "coeffs": ["0", "0"], "order": 1}'
+        assert main(["transvect", "--m", "1", "--n", "1", "--r", "0", "--A", form, "--B", form]) == 2
+        assert "unknown pair 'k'" in capsys.readouterr().err
+
     def test_threej_entry_count_exit_two(self, capsys):
         assert main(["threej", "--j", "1 1", "--m", "1 -1 0"]) == 2
         assert "3 entries in --j, got 2" in capsys.readouterr().err
@@ -513,6 +533,7 @@ _flag_text = st.one_of(
 @example(text="999")
 @example(text="--")
 @example(text='{"coeffs": [1e400], "order": 0}')
+@example(text="1e5000")
 def test_parsers_exit_zero_or_two(flag, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(_FUZZED[flag](text)) in (0, 2)

@@ -95,6 +95,16 @@ class TestBinaryForm:
         with pytest.raises(ValueError, match="not a JSON object"):
             BinaryForm.from_json_dict(["1", "2"])
 
+    def test_unknown_pair_is_refused_for_the_zero_form_too(self):
+        # a zero form skipped every pair check and came out in pair "k"
+        for build in (lambda: BinaryForm("k", 3, MultiForm.zero()),
+                      lambda: BinaryForm.from_coeffs([0, 0], pair="k"),
+                      lambda: BinaryForm.from_coeffs([1, 0], pair="k"),
+                      lambda: BinaryForm.from_json_dict({"pair": "k", "coeffs": ["0", "0"], "order": 1})):
+            with pytest.raises(ValueError, match="unknown pair 'k'"):
+                build()
+        assert BinaryForm("y", 3, MultiForm.zero()).is_zero()
+
 
 class TestTransvect:
     def test_pinned_value(self):

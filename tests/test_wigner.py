@@ -862,12 +862,6 @@ _args = st.integers(0, 40)
 
 
 class TestFactorialRatioPrimes:
-    @pytest.fixture(autouse=True)
-    def fresh_factorial_memo(self, monkeypatch):
-        # calls here widen the packed exponent fields; none of that outlives
-        # the test
-        monkeypatch.setattr(wigner, "_packing", wigner._FactorialPacking(64, 32))
-
     @given(st.lists(_args, min_size=18, max_size=18), st.lists(_args, min_size=6, max_size=6))
     def test_triple_sum_sized_calls(self, nums, dens):
         # the triple sum passes 18 numerator and 6 denominator arguments
@@ -876,12 +870,11 @@ class TestFactorialRatioPrimes:
                         _factorial_ratio(nums[:12], nums[12:] + dens))
 
     def test_more_arguments_than_the_fields_were_sized_for(self):
-        # count copies of the largest argument the fields were sized for put
+        # count copies of the table's largest argument would put
         # count * e_p(top!) in each field: 1,000 * e_2(64!) = 63,000 is past
         # 16-bit fields
-        top = wigner._packing.top
-        sqrt_factorial_ratio([top, 5], [3])  # every argument below is now a memo hit
-        for count in (wigner._packing.span + 1, 1000):
+        top = wigner._TOP
+        for count in (wigner._SPAN + 1, 1000):
             many = [top] * count
             assert _is_root(sqrt_factorial_ratio(many, [3]), _factorial_ratio(many, [3]))
             assert _is_root(sqrt_factorial_ratio([5], many), _factorial_ratio([5], many))
@@ -902,6 +895,19 @@ class TestFactorialRatioPrimes:
     def test_negative_odd_exponents_match_trial_division(self, nums, dens):
         assert sqrt_factorial_ratio(nums, dens) == sqrt_rational(_factorial_ratio(nums, dens))
 
+    @pytest.mark.parametrize("nums, dens, direct", [
+        ([64] * 32, [], False), ([64] * 31, [64], False), ([64], [64] * 31, False),
+        ([64] * 33, [63], True), ([65], [64], True), ([0, 65], [63, 1], True)])
+    def test_table_boundary_matches_trial_division(self, monkeypatch, nums, dens, direct):
+        # the table holds n <= 64, 32 arguments at a time; one more argument,
+        # or one past 64, takes the direct Legendre sum
+        calls = []
+        legendre_sum = wigner._direct_exponents
+        monkeypatch.setattr(wigner, "_direct_exponents",
+                            lambda *args: calls.append(args) or legendre_sum(*args))
+        assert sqrt_factorial_ratio(nums, dens) == sqrt_rational(_factorial_ratio(nums, dens))
+        assert bool(calls) == direct
+
     def test_exponents_beyond_sixteen_bits(self):
         # field totals past 2^15 and 2^16: 28 * e_2(1200!) = 33,460 and
         # e_2(70000!) = 69,993
@@ -915,14 +921,17 @@ class TestFactorialRatioPrimes:
         assert sqrt_factorial_ratio([69999, 5], [70000, 4]) == sqrt_rational(F(5, 70000))
         assert sqrt_factorial_ratio([6], [4]) == sqrt_rational(F(30))
 
-    def test_field_sizes(self, monkeypatch):
-        assert [wigner._FactorialPacking(top, span).field
-                for top, span in ((64, 32), (1200, 32), (70000, 32), (70000, 1 << 15))] == [16, 32, 32, 64]
-        monkeypatch.setattr(wigner, "_packing", wigner._FactorialPacking(70000, 1 << 15))
+    def test_arguments_past_the_table(self):
+        top = wigner._MAX_ARGUMENT
+        assert sqrt_factorial_ratio([65], [64]) == sqrt_rational(F(65))
         assert sqrt_factorial_ratio([70000, 3], [69998]) == sqrt_rational(F(70000 * 69999 * 6))
         assert sqrt_factorial_ratio([5], [7, 2]) == sqrt_rational(F(1, 84))
-        with pytest.raises(ValueError, match="too large"):
-            wigner._FactorialPacking(1 << 62, 4)
+        assert sqrt_factorial_ratio([top], [top - 1]) == sqrt_rational(F(top))
+        for args in ([top + 1], [1 << 62], [3, 1 << 62]):
+            with pytest.raises(ValueError, match="too large"):
+                sqrt_factorial_ratio(args, [])
+            with pytest.raises(ValueError, match="too large"):
+                sqrt_factorial_ratio([], iter(args))
 
     def test_rational_prefactor(self):
         assert sqrt_factorial_ratio([3], [], -4, 6) == QuadraticSurd(F(-2, 3), 6)
@@ -937,26 +946,14 @@ class TestFactorialRatioPrimes:
         with pytest.raises(ValueError, match="den must be positive"):
             sqrt_factorial_ratio([5], [3], 0, 0)
 
-    def test_zero_and_one_factorials_stay_memoised(self, monkeypatch):
-        # 0! and 1! pack to the int 0, which must count as a memo hit
+    def test_zero_and_one_factorials_stay_memoised(self):
+        # 0! and 1! pack to the int 0
         assert sqrt_factorial_ratio([0, 1, 3], [1, 0]) == sqrt_rational(F(6))
-        assert {0, 1, 3} <= set(wigner._packing.memo)
-
-        def refill(n):
-            raise AssertionError(f"memo miss for {n}")
-
-        monkeypatch.setattr(wigner._FactorialPacking, "packed", lambda self, n: refill(n))
         assert sqrt_factorial_ratio([1, 0, 3], [0]) == sqrt_rational(F(6))
 
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(wigner, "_MAX_PACKED", 8)
-        for n in range(60):
-            assert sqrt_factorial_ratio([n + 1], [n]) == sqrt_rational(F(n + 1))
-            assert len(wigner._packing.memo) <= 8
-
     def test_growing_and_shrinking_arguments(self):
-        # each wider packing sieves its own primes up to its top; smaller
-        # calls reuse them
+        # calls past the table sieve primes up to their own largest argument;
+        # calls within it read the table's
         for nums, dens in (([3], [2]), ([1500], [1499, 7]), ([40, 30], [20]),
                            ([4001], [3999]), ([0, 1], [])):
             target = F(1)
