@@ -133,6 +133,13 @@ def _parse_form(text: str, flag: str, order: int, convention: str) -> BinaryForm
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+        except ValueError:
+            # json.loads raises a plain ValueError for an integer literal
+            # past the int/str digit limit
+            raise ValueError(f"{flag} holds a JSON integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        except RecursionError:
+            raise ValueError(f"{flag} is JSON nested too deeply") from None
         try:
             return BinaryForm.from_json_dict(data)
         except ValueError as exc:
@@ -194,7 +201,13 @@ def _cmd_transvect(args) -> int:
     if A.order != args.m or B.order != args.n:
         raise ValueError("order of a supplied form disagrees with --m/--n")
     result = transvect(A, B, args.r)
-    payload = result.to_json_dict(args.convention)
+    try:
+        payload = result.to_json_dict(args.convention)
+    except ValueError:
+        # str() refuses an int past the int/str digit limit
+        raise ValueError(f"the result has a coefficient whose numerator or denominator has "
+                         f"more than {sys.get_int_max_str_digits()} digits, "
+                         f"too long to print") from None
     pretty = [f"({args.m},{args.n})_{args.r} coefficients "
               f"[{args.convention}]: " + " ".join(payload["coeffs"])]
     _emit(payload, pretty, args.format, args.out)
@@ -343,13 +356,15 @@ _MAX_TABLEAUX = 10_000
 # 2 shared cores with Python 3.11.  `mult` sums characters over every
 # partition of d: three distinct near-staircase shapes of 29 boxes take
 # 0.7-0.9 s, of 30 boxes 1.2-1.3 s.  `projmat` builds d + 1 matrices per
-# module and works in the tensor space of dimension dim(l) * dim(m).  At the
-# caps (5,5) x (1^10) -> (2^5), product 42, takes 0.3-0.5 s and
-# (1^22) x (21,1) -> (2,1^20) 0.3-0.4 s.  Past them, with the caps lifted,
-# (5,3) x (5,3) -> (7,1), product 784, takes 0.3 s, (4,2,2) x (1^8) ->
-# (3,3,1,1), product 56, 0.5 s, (28,1) x (29) -> (28,1) 0.5 s,
-# (9,1) x (5,5) -> (6,4), product 378, 2.3-2.6 s and (9,1) x (8,2) ->
-# (7,2,1), product 315, 5.4-5.5 s: the product does not track the cost.
+# module and works in the tensor space of dimension dim(l) * dim(m).  Timed
+# since its kernels read only nonzero matrix entries, three runs each, no
+# bytecode caches: at the caps (5,5) x (1^10) -> (2^5), product 42, takes
+# 0.26-0.28 s and (1^22) x (21,1) -> (2,1^20) 0.20-0.21 s.  Past them, with
+# the caps lifted, (5,3) x (5,3) -> (7,1), product 784, takes 0.13-0.14 s,
+# (4,2,2) x (1^8) -> (3,3,1,1), product 56, 0.32-0.36 s, (28,1) x (29) ->
+# (28,1) 0.36-0.37 s, (9,1) x (5,5) -> (6,4), product 378, 1.3 s and
+# (9,1) x (8,2) -> (7,2,1), product 315, 2.9-3.0 s: the product does not
+# track the cost.
 _MAX_MULT_BOXES = 29
 _MAX_PROJMAT_BOXES = 22
 _MAX_PROJMAT_DIMS = 42

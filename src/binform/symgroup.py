@@ -21,6 +21,15 @@ standard tableaux's own column tabloids (Sagan, The Symmetric Group, 2nd
 ed., section 2.5), so coordinates are a forward substitution of those
 values (see _ColumnSpan).
 
+Module matrices are sparse: at d = 7, in every module of dimension over 6,
+8-38% of the entries of (1 2), the long cycle and its powers are nonzero.
+So a module's one matrix memo keeps each matrix twice: the dense rows that
+matrix() returns, and one sparse form, the nonzero (row, value) pairs of
+each column (Columns, from columns()).  The two kernels read only nonzero
+entries: _mat_mul adds scaled rows of its right factor at the nonzero
+entries of each left row, and the tensor action reads both factors'
+columns.
+
 One action applies a representation to a vector: _tensor_apply, of
 Q_l(g) x Q_m(g), with a single module V_n taken as V_n x V_(d) for the
 trivial V_(d).  The Jucys-Murphy eigenvectors, the transport and the
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import add, mul
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polycore import _primitive
@@ -162,6 +171,8 @@ def standard_tableaux(shape: Iterable[int]) -> List[StandardTableau]:
 # ---------------------------------------------------------------------------
 
 Matrix = Tuple[Tuple[int, ...], ...]
+# a matrix by columns, each the (row, value) pairs of its nonzero entries
+Columns = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 
 def _identity_matrix(n: int) -> Matrix:
@@ -169,8 +180,19 @@ def _identity_matrix(n: int) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    """The product a b.  Row i of it sums, over the nonzero a[i][t], a[i][t]
+    times row t of b, whose nonzero entries alone are read."""
+    width = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _row_reduce(rows: Sequence[Sequence], ncols: int) -> List[List[int]]:
@@ -304,7 +326,8 @@ class _ColumnSpan:
             raise ArithmeticError("polytabloid values are not unitriangular")
         self._lower = [[(j, v) for j, v in enumerate(row[:k]) if v]
                        for k, row in enumerate(E)]
-        self._matrices: Dict[Perm, Matrix] = {}
+        # perm -> (its matrix, the same matrix as Columns)
+        self._matrices: Dict[Perm, Tuple[Matrix, Columns]] = {}
 
     def _values(self, rows: Sequence[Sequence[int]]) -> List[int]:
         """Values of the polytabloid of these rows at the own tabloids."""
@@ -317,28 +340,37 @@ class _ColumnSpan:
             coeffs.append(value - sum(v * coeffs[j] for j, v in lower))
         return coeffs
 
-    def _image(self, perm: Perm) -> Matrix:
+    def _image(self, perm: Perm) -> Tuple[Matrix, Columns]:
         cols = [self._coordinates(self._values(
                     [[perm[x - 1] for x in row] for row in t.rows]))
                 for t in self.tableaux]
-        return tuple(zip(*cols))
+        return (tuple(zip(*cols)),
+                tuple(tuple((i, v) for i, v in enumerate(col) if v) for col in cols))
 
-    def matrix(self, perm: Perm) -> Matrix:
-        """Action of the permutation on the basis; columns are images.  Its
-        product with the inverse permutation's matrix is checked to be 1."""
+    def _entry(self, perm: Perm) -> Tuple[Matrix, Columns]:
         if len(perm) != self.d:
             raise ValueError(f"permutation degree {len(perm)} does not match d={self.d}")
         cached = self._matrices.get(perm)
         if cached is not None:
             return cached
         inv = inverse_perm(perm)
-        q = self._image(perm)
-        q_inv = q if inv == perm else self._image(inv)
-        if _mat_mul(q, q_inv) != _identity_matrix(self.dim):
+        entry = self._image(perm)
+        entry_inv = entry if inv == perm else self._image(inv)
+        if _mat_mul(entry[0], entry_inv[0]) != _identity_matrix(self.dim):
             raise ArithmeticError("matrices of a permutation and its inverse are not inverse")
-        self._matrices[perm] = q
-        self._matrices[inv] = q_inv
-        return q
+        self._matrices[perm] = entry
+        self._matrices[inv] = entry_inv
+        return entry
+
+    def matrix(self, perm: Perm) -> Matrix:
+        """Action of the permutation on the basis; columns are images.  Its
+        product with the inverse permutation's matrix is checked to be 1."""
+        return self._entry(perm)[0]
+
+    def columns(self, perm: Perm) -> Columns:
+        """The matrix of the permutation as the nonzero entries of each
+        column."""
+        return self._entry(perm)[1]
 
 
 @lru_cache(maxsize=_MAX_MODULES)
@@ -447,24 +479,25 @@ def multiplicity(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> in
 def _tensor_apply(lmod: _ColumnSpan, mmod: _ColumnSpan, g: Perm,
                   vec: Sequence[int]) -> List[int]:
     """(Q_l(g) x Q_m(g)) applied to a vector of length dim(l) * dim(m).  A
-    single module V_n acts as V_n x V_(d), whose matrices are ((1,),)."""
-    ql, qm = lmod.matrix(g), mmod.matrix(g)
-    dl, dm = len(ql), len(qm)
-    out = [0] * (dl * dm)
-    for jl in range(dl):
+    single module V_n acts as V_n x V_(d), whose matrices are ((1,),).
+    Only the nonzero entries of either matrix are read: segment jl of vec
+    maps to half = Q_m(g) seg, a sum of columns of Q_m(g), and each nonzero
+    Q_l(g)[il][jl] adds its multiple of half to block il."""
+    cl, cm = lmod.columns(g), mmod.columns(g)
+    dm = len(cm)
+    out = [0] * (len(cl) * dm)
+    for jl, col in enumerate(cl):
         base = jl * dm
-        seg = vec[base:base + dm]
-        if not any(seg):
+        half = [0] * dm
+        for x, mcol in zip(vec[base:base + dm], cm):
+            if x:
+                for im, b in mcol:
+                    half[im] += x * b
+        if not any(half):
             continue
-        half = [sum(qm[im][jm] * seg[jm] for jm in range(dm) if seg[jm])
-                for im in range(dm)]
-        for il in range(dl):
-            a = ql[il][jl]
-            if a:
-                row = il * dm
-                for im in range(dm):
-                    if half[im]:
-                        out[row + im] += a * half[im]
+        for il, a in col:
+            row = il * dm
+            out[row:row + dm] = [s + a * h for s, h in zip(out[row:row + dm], half)]
     return out
 
 
@@ -614,9 +647,10 @@ _S5_BASIS_SIGNS = ((1, -1, 1, 1), (1, 1, 1, 1, 1))
 FiveMaps = Tuple[Sequence[Sequence], ...]
 
 
-# the degrees test_conjecture accepts; the internals run past them (the
-# degree-9 kernel of _pointwise_rows took 0.4-0.6 s, degree 10 about 0.8 s,
-# on 2 shared cores with Python 3.11)
+# the degrees test_conjecture accepts; the internals run past them (from
+# cold caches, _pointwise_rows and its kernel took 0.07 s at degree 8,
+# 0.14 s at degree 9 and 0.25-0.31 s at degree 10, three runs each on 2
+# shared cores with Python 3.11)
 RELATION_DEGREES = (5, 6, 7, 8)
 
 

@@ -339,6 +339,35 @@ class TestMainInProcess:
         assert transvect("1e4000", "1") == 0
         assert capsys.readouterr().out.strip().endswith("1" + "0" * 4000)
 
+    def test_json_integer_past_the_digit_limit_exit_two_naming_the_flag(self, capsys):
+        # json.loads refuses such a literal with a plain ValueError, which was
+        # printed bare, naming no flag
+        for digits in (5000, 100_000):
+            form = '{"coeffs": [1' + "0" * digits + '], "order": 0}'
+            assert main(["transvect", "--m", "0", "--n", "0", "--r", "0", "--A", form,
+                         "--B", "1"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: --A holds a JSON integer of more than {sys.get_int_max_str_digits()} digits")
+
+    def test_deeply_nested_json_exit_two_naming_the_flag(self, capsys):
+        # json.loads raised RecursionError, which escaped with exit 1
+        form = '{"coeffs": [' + "[" * 100_000
+        assert main(["transvect", "--m", "0", "--n", "0", "--r", "0", "--A", "1",
+                     "--B", form]) == 2
+        assert capsys.readouterr().err.startswith("error: --B is JSON nested too deeply")
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_result_past_the_digit_limit_exit_two_blaming_the_result(self, capsys, fmt):
+        # both inputs pass the exponent check; their product has 6,001 digits
+        # and failed in printing with a bare message naming no flag
+        assert main(["transvect", "--m", "0", "--n", "0", "--r", "0", "--A", "1e3000",
+                     "--B", "1e3000", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the result has a coefficient whose numerator or "
+                              "denominator has more than")
+        assert "--A" not in err and "--B" not in err
+
     def test_zero_form_in_an_unknown_pair_exit_two(self, capsys):
         # it printed a result in pair "k"; a nonzero form there exited 2
         form = '{"pair": "k", "coeffs": ["0", "0"], "order": 1}'

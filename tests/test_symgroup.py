@@ -23,6 +23,7 @@ from binform.symgroup import (
     _five_couplings,
     _jm_action,
     _kernel_basis,
+    _mat_mul,
     _row_reduce,
     _module,
     _relation_system,
@@ -399,6 +400,65 @@ def _relation_module_pairs(d):
 
 _JM_PAIRS = [pair for d in (5, 6, 7) for pair in _relation_module_pairs(d)] + \
     [((7, 2), (8, 1))]
+
+
+def _package_perms(d):
+    """The d + 1 permutations package code asks a degree-d module for."""
+    return [swap_perm(k - 1, k, d) for k in range(2, d + 1)] + \
+        [cycle_perm(d), inverse_perm(cycle_perm(d))]
+
+
+@st.composite
+def _tensor_cases(draw):
+    """(lam, mu, g, vec): a module pair of _JM_PAIRS, one of its package
+    permutations, and an int vector of the tensor space whose segments (one
+    per basis vector of the first factor) may be all zero."""
+    lam, mu = draw(st.sampled_from(_JM_PAIRS))
+    g = draw(st.sampled_from(_package_perms(sum(lam))))
+    dl, dm = hook_dimension(lam), hook_dimension(mu)
+    segment = st.one_of(st.just([0] * dm),
+                        st.lists(st.integers(), min_size=dm, max_size=dm))
+    vec = [x for _ in range(dl) for x in draw(segment)]
+    return lam, mu, g, vec
+
+
+@st.composite
+def _sparse_int_products(draw):
+    """Two int matrices, shapes n x k and k x m, about half their entries 0."""
+    n, k, m = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9), st.integers())
+    a, b = (tuple(tuple(draw(st.lists(entry, min_size=w, max_size=w)) for _ in range(h))
+                  for h, w in ((n, k), (k, m))))
+    return a, b
+
+
+class TestSparseKernels:
+    """The tensor action and the matrix product read only nonzero entries;
+    their oracles are dense loops over the matrices `matrix` returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tensor_cases())
+    @example(((4, 1), (5,), swap_perm(1, 2, 5), [0, 0, 0, 0]))
+    @example(((5,), (5,), cycle_perm(5), [7]))
+    @example(((3, 2), (4, 1), cycle_perm(5), [0] * 12 + [1, -2, 0, 3] + [0] * 4))
+    def test_tensor_apply_matches_the_kronecker_product(self, case):
+        lam, mu, g, vec = case
+        ql, qm = _module(lam).matrix(g), _module(mu).matrix(g)
+        dl, dm = len(ql), len(qm)
+        kron = [[ql[il][jl] * qm[im][jm] for jl in range(dl) for jm in range(dm)]
+                for il in range(dl) for im in range(dm)]
+        want = [sum(x * v for x, v in zip(row, vec)) for row in kron]
+        assert _tensor_apply(_module(lam), _module(mu), g, vec) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_int_products())
+    @example((((0, 0), (0, 0)), ((1, 2), (3, 4))))
+    @example((((1, 0, -1),), ((0,), (5,), (2,))))
+    def test_mat_mul_matches_the_triple_loop(self, case):
+        a, b = case
+        want = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b)))
+                           for j in range(len(b[0]))) for i in range(len(a)))
+        assert _mat_mul(a, b) == want
 
 
 _entries = st.one_of(st.integers(min_value=-4, max_value=4),
