@@ -150,12 +150,19 @@ def _omega_terms(r: int, ea1: int, ea2: int, eb1: int, eb2: int) -> list:
     omega = d/da1 d/db2 - d/da2 d/db1, so omega^r is
     sum_k (-1)^k C(r,k) da1^(r-k) da2^k db1^k db2^(r-k), and
     c = (-1)^k C(r,k) (ea1)_(r-k) (ea2)_k (eb1)_k (eb2)_(r-k).
+    Each c after the first is the one before times the term ratio
+    -(r-k)(ea2-k)(eb1-k) / ((k+1)(ea1-r+k+1)(eb2-r+k+1)), an exact division.
     """
-    terms = []
-    for k in range(max(0, r - ea1, r - eb2), min(r, ea2, eb1) + 1):
+    lo, hi = max(0, r - ea1, r - eb2), min(r, ea2, eb1)
+    if lo > hi:
+        return []
+    i = r - lo
+    c = (-1) ** lo * comb(r, lo) * perm(ea1, i) * perm(ea2, lo) * perm(eb1, lo) * perm(eb2, i)
+    terms = [(lo, c)]
+    for k in range(lo, hi):
         i = r - k
-        c = comb(r, k) * perm(ea1, i) * perm(ea2, k) * perm(eb1, k) * perm(eb2, i)
-        terms.append((k, -c if k & 1 else c))
+        c = -c * i * (ea2 - k) * (eb1 - k) // ((k + 1) * (ea1 - i + 1) * (eb2 - i + 1))
+        terms.append((k + 1, c))
     return terms
 
 

@@ -12,7 +12,11 @@ three of each.  The syzygy module's kappa_oracle is the 9-j chain of the
 kappa array times K.  The 9-j triple sum and the syzygy module's kappa
 share one evaluator, _triple_sum, and derive their shifts separately; the
 operator chain shares neither.  kappa_via_ninej reaches kappa through the
-9-j triple sum.
+9-j triple sum.  _triple_sum builds each factor list in one index from its
+first term by the ratio of consecutive terms (one multiply and one exact
+division per entry) and each list in two indices as a running product; it
+runs the longest of its three axes innermost, in one sum over a product,
+so the Python loops cover only the two shorter ones.
 
 Square roots only ever arise from ratios of factorials, so surds are
 assembled from prime exponents via Legendre's formula; nothing ever
@@ -28,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial, gcd, isqrt, perm
-from operator import mul
+from operator import itemgetter, mul
 from struct import unpack
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -567,8 +571,10 @@ def _triple_sum(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
     * (p1-y-z)! / ((p2+x+y)! (p3+x+z)!).
 
     With X, Y, Z = min(x4, x5), min(y4, y5), min(z4, z5), the caller
-    guarantees p1 >= Y + Z and a term at the corner (X, Y, Z):
-    p2 + X + Y >= 0 and p3 + X + Z >= 0."""
+    guarantees p1 >= Y + Z, a term at the corner (X, Y, Z):
+    p2 + X + Y >= 0 and p3 + X + Z >= 0, and factorials in x, y or z alone
+    with arguments >= 0 over the box: x1 >= X, z1 >= Z, z3 >= Z and
+    x2, x3, y1, y2, y3, z2 >= 0."""
     x1, x2, x3, x4, x5 = xs
     y1, y2, y3, y4, y5 = ys
     z1, z2, z3, z4, z5 = zs
@@ -579,8 +585,11 @@ def _triple_sum(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
     # C[k] = 1/(p2+k)!; and A[k] = (p1-k)! cuts nothing.  Over one common
     # denominator, the 13 denominator factorials each at its largest
     # argument M over the box, a denominator factorial arg! becomes the int
-    # M!/arg! = perm(M, M - arg).  The factors in x, y or z alone are lists
-    # with leading zeros below the least index that has a term.
+    # M!/arg!.  The factors in x, y or z alone are lists with leading zeros
+    # below the least index that has a term; each runs from that term by the
+    # ratio of consecutive terms, an exact division of ints.  A, B and C are
+    # running products from the top, where B and C are 1 and a zero factor
+    # (p3+k or p2+k = 0) zeroes every entry below it.
     X, Y, Z = min(x4, x5), min(y4, y5), min(z4, z5)
     mxy, mxz = p2 + X + Y, p3 + X + Z
     x_lo, y_lo, z_lo = max(0, -p2 - Y, -p3 - Z), max(0, -p2 - X), max(0, -p3 - X)
@@ -589,28 +598,39 @@ def _triple_sum(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int],
     for m in (X, x4 - x_lo, x5 - x_lo, Y, y3 + Y, y4 - y_lo, y5 - y_lo,
               Z, z3 - z_lo, z4 - z_lo, z5 - z_lo, mxy, mxz):
         den *= f(m)
-    wx = [0] * x_lo + [(-1 if x & 1 else 1) * f(x1 - x) * f(x2 + x) * f(x3 + x)
-                       * perm(X, X - x) * perm(x4 - x_lo, x - x_lo) * perm(x5 - x_lo, x - x_lo)
-                       for x in range(x_lo, X + 1)]
-    wy = [0] * y_lo + [(-1 if y & 1 else 1) * f(y1 + y) * f(y2 + y) * perm(Y, Y - y)
-                       * perm(y3 + Y, Y - y) * perm(y4 - y_lo, y - y_lo)
-                       * perm(y5 - y_lo, y - y_lo)
-                       for y in range(y_lo, Y + 1)]
-    wz = [0] * z_lo + [(-1 if z & 1 else 1) * f(z1 - z) * f(z2 + z) * perm(Z, Z - z)
-                       * perm(z3 - z_lo, z - z_lo) * perm(z4 - z_lo, z - z_lo)
-                       * perm(z5 - z_lo, z - z_lo)
-                       for z in range(z_lo, Z + 1)]
-    A = [f(p1 - k) for k in range(Y + Z + 1)]
-    b_lo, c_lo = max(0, -p3), max(0, -p2)
-    B = [0] * b_lo + [perm(mxz, mxz - p3 - k) for k in range(b_lo, X + Z + 1)]
-    C = [0] * c_lo + [perm(mxy, mxy - p2 - k) for k in range(c_lo, X + Y + 1)]
+    w = (-1) ** x_lo * f(x1 - x_lo) * f(x2 + x_lo) * f(x3 + x_lo) * perm(X, X - x_lo)
+    wx = [0] * x_lo + [w]
+    for x in range(x_lo, X):
+        w = -w * (x2 + x + 1) * (x3 + x + 1) * (x4 - x) * (x5 - x) // ((x1 - x) * (x + 1))
+        wx.append(w)
+    w = (-1) ** y_lo * f(y1 + y_lo) * f(y2 + y_lo) * perm(Y, Y - y_lo) * perm(y3 + Y, Y - y_lo)
+    wy = [0] * y_lo + [w]
+    for y in range(y_lo, Y):
+        w = -w * (y1 + y + 1) * (y2 + y + 1) * (y4 - y) * (y5 - y) // ((y + 1) * (y3 + y + 1))
+        wy.append(w)
+    w = (-1) ** z_lo * f(z1 - z_lo) * f(z2 + z_lo) * perm(Z, Z - z_lo)
+    wz = [0] * z_lo + [w]
+    for z in range(z_lo, Z):
+        w = -w * (z2 + z + 1) * (z3 - z) * (z4 - z) * (z5 - z) // ((z1 - z) * (z + 1))
+        wz.append(w)
+    A = list(accumulate(range(p1 - Y - Z + 1, p1 + 1), mul, initial=f(p1 - Y - Z)))[::-1]
+    B = list(accumulate(range(mxz, p3, -1), mul, initial=1))[::-1]
+    C = list(accumulate(range(mxy, p2, -1), mul, initial=1))[::-1]
+    # The summand couples the indices in pairs, through C[x+y], B[x+z] and
+    # A[y+z].  Each axis is (size, least index, weights, the pair list of the
+    # other two axes, that list's leading zeros); the longest runs innermost,
+    # in one sum over a product, and the shortest outermost.
+    (U, u_lo, wu, pvw, _), (V, v_lo, wv, puw, _), (_, _, ww, puv, puv_lo) = sorted(
+        ((X, x_lo, wx, A, 0), (Y, y_lo, wy, B, max(0, -p3)), (Z, z_lo, wz, C, max(0, -p2))),
+        key=itemgetter(0))
+    tails = [pvw[v:] for v in range(V + 1)]
     total = 0
-    for x in range(x_lo, X + 1):
-        row = list(map(mul, wz, B[x:]))
+    for u in range(u_lo, U + 1):
+        row = list(map(mul, ww, puw[u:]))
         inner = 0
-        for y in range(max(0, -p2 - x), Y + 1):  # the first y with C[x + y] != 0
-            inner += wy[y] * C[x + y] * sum(map(mul, row, A[y:]))
-        total += wx[x] * inner
+        for v in range(max(v_lo, puv_lo - u), V + 1):  # the first v with puv[u + v] != 0
+            inner += wv[v] * puv[u + v] * sum(map(mul, row, tails[v]))
+        total += wu[u] * inner
     return total, den
 
 
@@ -659,18 +679,14 @@ def ninej_symmetry_check(arr: NineJArray, value=None) -> bool:
         value = ninej_triple_sum(arr)
     if ninej_triple_sum(arr.transpose()) != value:
         return False
-    odd_sign = -1 if arr.entry_sum_twice() // 2 % 2 else 1
+    # the value under one odd permutation; two odd ones cancel
+    odd_value = -value if arr.entry_sum_twice() // 2 % 2 else value
     identity = (0, 1, 2)
     for rp, rsgn in _ROW_PERMS:
         for cp, csgn in _ROW_PERMS:
             if rp == identity and cp == identity:
                 continue
-            sgn = 1
-            if rsgn < 0:
-                sgn *= odd_sign
-            if csgn < 0:
-                sgn *= odd_sign
-            if ninej_triple_sum(arr.permute(rp, cp)) != sgn * value:
+            if ninej_triple_sum(arr.permute(rp, cp)) != (value if rsgn == csgn else odd_value):
                 return False
     return True
 

@@ -4,7 +4,7 @@ from itertools import product
 from math import comb, gcd, perm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binform import polycore, wigner
@@ -295,6 +295,34 @@ def test_omega_lowers_orders(f, r):
     if not out.is_zero():
         assert out.order("x") == f.order("x") - r
         assert out.order("y") == f.order("y") - r
+
+
+def _falling(n, k):
+    """(n)_k = n (n-1) ... (n-k+1), 0 when k > n >= 0."""
+    return prod(range(n - k + 1, n + 1))
+
+
+_exponents = st.integers(min_value=0, max_value=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=8), _exponents, _exponents, _exponents, _exponents)
+@example(3, 1, 0, 5, 5)  # k >= 2 for a1, k <= 0 for a2: no term
+@example(4, 2, 1, 1, 2)  # 2 <= k <= 1: no term
+@example(0, 0, 0, 0, 0)
+@example(8, 10, 10, 10, 10)
+def test_omega_terms_match_the_closed_product(r, ea1, ea2, eb1, eb2):
+    # c_k = (-1)^k C(r,k) (ea1)_(r-k) (ea2)_k (eb1)_k (eb2)_(r-k), listed
+    # where it is nonzero
+    want = [(k, (-1) ** k * comb(r, k) * _falling(ea1, r - k) * _falling(ea2, k)
+             * _falling(eb1, k) * _falling(eb2, r - k)) for k in range(r + 1)]
+    assert polycore._omega_terms(r, ea1, ea2, eb1, eb2) == [(k, c) for k, c in want if c]
+
+
+def test_omega_terms_empty_ranges():
+    assert polycore._omega_terms(3, 1, 0, 5, 5) == []
+    assert polycore._omega_terms(4, 2, 1, 1, 2) == []
+    assert polycore._omega_terms(2, 1, 0, 0, 1) == []
 
 
 def _orders_of_terms(f):

@@ -5,7 +5,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 from typing import Tuple
 
 import pytest
@@ -512,6 +512,27 @@ class TestNineJ:
         assert ninej_symmetry_check(_mk([[1, 1, 2], [1, 1, 2], [2, 2, 2]]))
         assert ninej_symmetry_check(_mk([[2, 1, 3], [1, 2, 3], [3, 3, 4]]))
 
+    @pytest.mark.parametrize("rows, cols, wrong_sign", [
+        ((1, 0, 2), (0, 1, 2), 1),  # one odd permutation: the value must flip
+        ((1, 0, 2), (0, 2, 1), -1),  # two odd permutations: the flips cancel
+    ])
+    def test_sign_law_fault_on_one_image_is_caught(self, monkeypatch, rows, cols, wrong_sign):
+        # odd half-entry sum, nonzero value, and 37 distinct images, so the
+        # faulty image is met once and only by the sign law
+        arr = NineJArray._of_twice(((0, 1, 1), (2, 1, 3), (2, 2, 2)))
+        assert arr.entry_sum_twice() // 2 % 2 == 1
+        images = {arr.transpose().twice_rows()}
+        images |= {arr.permute(r, c).twice_rows() for r, c in itertools.product(
+            itertools.permutations(range(3)), repeat=2)}
+        assert len(images) == 37
+        value = ninej_triple_sum(arr)
+        assert not value.is_zero() and ninej_symmetry_check(arr, value)
+        target = arr.permute(rows, cols).twice_rows()
+        route = wigner.ninej_triple_sum
+        monkeypatch.setattr(wigner, "ninej_triple_sum", lambda a: wrong_sign * value
+                            if a.twice_rows() == target else route(a))
+        assert not ninej_symmetry_check(arr, value)
+
     def test_support_size_counts_terms(self):
         arr = _mk([[2, 2, 2], [2, 2, 2], [2, 2, 2]])
         assert ninej_support_size(arr) >= 2
@@ -681,6 +702,143 @@ class TestTripleSumPerTerm:
             _, rearranged = kappa_ninej_arrays(m, n, r, 0, r, (0, 0))
             terms, _ = _agrees_with_per_term(rearranged.twice_rows())
             assert terms == 1
+
+
+def _triple_sum_by_terms(xs, ys, zs, ps) -> F:
+    """The sum in the docstring of wigner._triple_sum, one Fraction per term
+    over the box x <= min(x4, x5), y <= min(y4, y5), z <= min(z4, z5); a term
+    with a negative argument below the fraction bar is 0."""
+    x1, x2, x3, x4, x5 = xs
+    y1, y2, y3, y4, y5 = ys
+    z1, z2, z3, z4, z5 = zs
+    p1, p2, p3 = ps
+    S = F(0)
+    for x in range(min(x4, x5) + 1):
+        for y in range(min(y4, y5) + 1):
+            for z in range(min(z4, z5) + 1):
+                below = [x, x4 - x, x5 - x, y, y3 + y, y4 - y, y5 - y,
+                         z, z3 - z, z4 - z, z5 - z, p2 + x + y, p3 + x + z]
+                if min(below) < 0:
+                    continue
+                above = [x1 - x, x2 + x, x3 + x, y1 + y, y2 + y, z1 - z, z2 + z, p1 - y - z]
+                term = F(prod(map(factorial, above)), prod(map(factorial, below)))
+                S += -term if (x + y + z) % 2 else term
+    return S
+
+
+def _drawn_shifts(rnd, X, Y, Z):
+    """Random shifts for wigner._triple_sum with box (X, Y, Z), inside its
+    contract; p2 and p3 reach down to the corner's bound, so x, y or z often
+    starts above 0."""
+    def ends(n):
+        other = n + rnd.randrange(3)
+        return (n, other) if rnd.random() < 0.5 else (other, n)
+
+    def small():
+        return rnd.randrange(4)
+
+    return ((X + small(), small(), small()) + ends(X),
+            (small(), small(), small()) + ends(Y),
+            (Z + small(), small(), Z + small()) + ends(Z),
+            (Y + Z + small(), rnd.randint(-X - Y, 3), rnd.randint(-X - Z, 3)))
+
+
+class TestTripleSumAxisOrder:
+    """wigner._triple_sum runs its longest axis innermost; every one of
+    the three loop orders must give the direct sum of the docstring."""
+
+    def test_each_axis_innermost_against_the_direct_sum(self, monkeypatch):
+        rnd = random.Random(2606)
+        cases = []
+        for axis in range(3):
+            for _ in range(40):
+                longest = rnd.randint(1, 5)
+                sizes = [rnd.randrange(longest) for _ in range(3)]
+                sizes[axis] = longest
+                cases.append(_drawn_shifts(rnd, *sizes))
+        for sizes in ((0, 0, 0), (2, 2, 1), (2, 1, 2), (1, 2, 2), (3, 3, 3), (4, 1, 4)):
+            for _ in range(5):
+                cases.append(_drawn_shifts(rnd, *sizes))
+        kappa_shifts = []
+        evaluate = wigner._triple_sum
+        monkeypatch.setattr(syzygy, "_triple_sum",
+                            lambda *shifts: kappa_shifts.append(shifts) or evaluate(*shifts))
+        for (m, n, r) in TestKappaBridge.GRIDS:
+            for p in pi_set(m, n, r):
+                for i in range(r + 1):
+                    for j in range(r - i + 1):
+                        kappa(m, n, r, i, j, p)
+        cases += random.Random(2607).sample(kappa_shifts, 60)
+
+        innermost, ties, cut = set(), 0, [0, 0, 0]
+        for xs, ys, zs, ps in cases:
+            total, den = wigner._triple_sum(xs, ys, zs, ps)
+            assert F(total, den) == _triple_sum_by_terms(xs, ys, zs, ps), (xs, ys, zs, ps)
+            sizes = [min(s[3], s[4]) for s in (xs, ys, zs)]
+            top = max(sizes)
+            if sizes.count(top) == 1:
+                innermost.add(sizes.index(top))
+            else:
+                ties += 1
+            (_, p2, p3), (X, Y, Z) = ps, sizes
+            for k, lo in enumerate((max(0, -p2 - Y, -p3 - Z), max(0, -p2 - X), max(0, -p3 - X))):
+                cut[k] += lo > 0
+        # each of x, y and z was the strict longest axis, so each loop order
+        # ran; ties and each cut index appeared too
+        assert innermost == {0, 1, 2}
+        assert ties >= 30
+        assert min(cut) >= 10, cut
+
+
+def _products_by_radicand(terms):
+    """The sum of w * u * v over the (int w, surd u, surd v) terms, as
+    {squarefree radicand: nonzero rational part}.  Roots of distinct
+    squarefree ints are linearly independent over Q, so the sum is the
+    rational q exactly when this is {1: q}, or {} for q = 0."""
+    groups = {}
+    for w, u, v in terms:
+        g = gcd(u.radicand, v.radicand)
+        rad = (u.radicand // g) * (v.radicand // g)
+        groups[rad] = groups.get(rad, F(0)) + w * u.coeff * v.coeff * g
+    return {rad: q for rad, q in groups.items() if q}
+
+
+class TestNineJOrthogonality:
+    """sum over j12, j34 of (2j12+1)(2j34+1)(2j13+1)(2j24+1)
+    {j1 j2 j12; j3 j4 j34; j13 j24 J} {j1 j2 j12; j3 j4 j34; j13' j24' J}
+    = delta(j13, j13') delta(j24, j24') (Edmonds, ch. 6): a certificate
+    that needs no second route."""
+
+    @pytest.mark.parametrize("route", [ninej_triple_sum, ninej_operator])
+    def test_orthogonality_up_to_three_halves(self, route):
+        top = 3
+        values = {}
+
+        def value(tw):
+            if tw not in values:
+                values[tw] = route(NineJArray._of_twice(tw))
+            return values[tw]
+
+        sums = 0
+        for j1, j2, j3, j4, J in itertools.product(range(top + 1), repeat=5):
+            # j12 and j34 run over every admissible value, past top too
+            inner = [(j12, j34) for j12 in range(abs(j1 - j2), j1 + j2 + 1, 2)
+                     for j34 in range(abs(j3 - j4), j3 + j4 + 1, 2)
+                     if _is_triad(j12, j34, J)]
+            outer = [(j13, j24) for j13 in range(top + 1) for j24 in range(top + 1)
+                     if _is_triad(j1, j3, j13) and _is_triad(j2, j4, j24)
+                     and _is_triad(j13, j24, J)]
+            for a, (j13, j24) in enumerate(outer):
+                for j13p, j24p in outer[a:]:
+                    terms = [((j12 + 1) * (j34 + 1) * (j13 + 1) * (j24 + 1),
+                              value(((j1, j2, j12), (j3, j4, j34), (j13, j24, J))),
+                              value(((j1, j2, j12), (j3, j4, j34), (j13p, j24p, J))))
+                             for j12, j34 in inner]
+                    delta = {1: F(1)} if (j13, j24) == (j13p, j24p) else {}
+                    assert _products_by_radicand(terms) == delta, \
+                        (j1, j2, j3, j4, J, j13, j24, j13p, j24p)
+                    sums += 1
+        assert sums == 1254
 
 
 class TestPackedChainKeys:
